@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/engine/prepared_relation.h"
 #include "core/expected_rank_attr.h"
 #include "gen/attr_gen.h"
 
@@ -26,7 +27,8 @@ void BM_AERank_Uniform(benchmark::State& state) {
   AttrRelation rel =
       MakeRelation(static_cast<int>(state.range(0)), ScoreDistribution::kUniform);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AttrExpectedRanks(rel));
+    const PreparedAttrRelation prepared(rel);  // fresh: no memo hit
+    benchmark::DoNotOptimize(AttrExpectedRanks(prepared));
   }
 }
 BENCHMARK(BM_AERank_Uniform)
@@ -38,7 +40,8 @@ void BM_AERank_Zipf(benchmark::State& state) {
   AttrRelation rel =
       MakeRelation(static_cast<int>(state.range(0)), ScoreDistribution::kZipf);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AttrExpectedRanks(rel));
+    const PreparedAttrRelation prepared(rel);  // fresh: no memo hit
+    benchmark::DoNotOptimize(AttrExpectedRanks(prepared));
   }
 }
 BENCHMARK(BM_AERank_Zipf)
@@ -64,7 +67,8 @@ void BM_AERankTopK(benchmark::State& state) {
   AttrRelation rel =
       MakeRelation(static_cast<int>(state.range(0)), ScoreDistribution::kUniform);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AttrExpectedRankTopK(rel, 50));
+    const PreparedAttrRelation prepared(rel);  // fresh: no memo hit
+    benchmark::DoNotOptimize(AttrExpectedRankTopK(prepared, 50));
   }
 }
 BENCHMARK(BM_AERankTopK)

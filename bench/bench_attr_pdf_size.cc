@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/engine/prepared_relation.h"
 #include "core/expected_rank_attr.h"
 #include "gen/attr_gen.h"
 
@@ -24,7 +25,8 @@ AttrRelation MakeRelation(int n, int s) {
 void BM_AERank_PdfSize(benchmark::State& state) {
   AttrRelation rel = MakeRelation(20000, static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AttrExpectedRanks(rel));
+    const PreparedAttrRelation prepared(rel);  // fresh: no memo hit
+    benchmark::DoNotOptimize(AttrExpectedRanks(prepared));
   }
 }
 BENCHMARK(BM_AERank_PdfSize)

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/engine/prepared_relation.h"
 #include "core/expected_rank_attr.h"
 #include "gen/attr_gen.h"
 #include "util/rank_metrics.h"
@@ -82,7 +83,8 @@ void RunExperiment() {
     AttrRelation rel = GenerateAttrRelation(workload.config);
     for (int k : ks) {
       const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, k);
-      const std::vector<int> exact = IdsOf(AttrExpectedRankTopK(rel, k));
+      const std::vector<int> exact =
+          IdsOf(AttrExpectedRankTopK(PreparedAttrRelation(rel), k));
       const std::vector<int> approx = IdsOf(pruned.topk);
       accessed.AddRow({workload.name, FormatInt(k),
                        FormatInt(pruned.accessed),

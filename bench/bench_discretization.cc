@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/engine/prepared_relation.h"
 #include "core/expected_rank_attr.h"
 #include "model/continuous.h"
 #include "util/rng.h"
@@ -66,7 +67,7 @@ void RunExperiment() {
   const auto pdfs = BuildPopulation();
   const AttrRelation reference = Discretize(pdfs, kReferenceBuckets);
   const std::vector<int> reference_order =
-      IdsOf(AttrExpectedRankTopK(reference, kN));
+      IdsOf(AttrExpectedRankTopK(PreparedAttrRelation(reference), kN));
 
   Table table(
       "E14: continuous-pdf discretization (N = 2000, reference s = 256)",
@@ -78,7 +79,7 @@ void RunExperiment() {
         MedianTimeMs(3, [&] { Discretize(pdfs, buckets); });
     std::vector<int> order;
     const double rank_ms = MedianTimeMs(3, [&] {
-      order = IdsOf(AttrExpectedRankTopK(rel, kN));
+      order = IdsOf(AttrExpectedRankTopK(PreparedAttrRelation(rel), kN));
     });
     std::vector<int> top50(order.begin(), order.begin() + 50);
     std::vector<int> ref50(reference_order.begin(),

@@ -1,8 +1,10 @@
 // Experiment E19: QueryEngine batch throughput — eight mixed-semantics
-// queries against one N = 10k tuple-level relation, evaluated (a) the
-// legacy way, one RunRankingQuery facade call per query (each call
-// re-prepares the relation and recomputes every statistic), and (b) as one
-// QueryEngine::RunBatch over shared prepared state.
+// queries against one N = 10k tuple-level relation, evaluated (a) one
+// query at a time, each preparing the relation from scratch
+// (QueryEngine::Prepare + Run per query, so every statistic is recomputed),
+// and (b) as one QueryEngine::RunBatch over shared prepared state. The
+// series name of (a), engine_facade_sequential, is kept from when a
+// one-shot facade function did that per-query preparation.
 //
 // The batch wins twice: queries that rank by the same memoized statistic
 // (the three quantile queries collapse to two distribution sweeps; the
@@ -23,10 +25,6 @@
 #include "gen/tuple_gen.h"
 #include "util/parallel.h"
 #include "util/simd.h"
-
-// E19 measures the deprecated RunRankingQuery facade against the engine;
-// calling it is the benchmark's purpose.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -53,12 +51,12 @@ void Collect(const std::string& kernel, int n, int threads, double wall_ms) {
   Collected().push_back({kernel, n, threads, wall_ms});
 }
 
-RankingQuery MakeQuery(RankingSemantics semantics, int k, double phi = 0.5) {
-  RankingQuery q;
-  q.semantics = semantics;
-  q.k = k;
-  q.phi = phi;
-  q.threshold = 0.1;
+QueryRequest MakeQuery(RankingSemantics semantics, int k, double phi = 0.5) {
+  QueryRequest q;
+  q.options.semantics = semantics;
+  q.options.k = k;
+  q.options.phi = phi;
+  q.options.threshold = 0.1;
   return q;
 }
 
@@ -66,9 +64,10 @@ RankingQuery MakeQuery(RankingSemantics semantics, int k, double phi = 0.5) {
 // selections (one memoized sweep), three median/quantile queries at
 // phi = 0.5 (one rank-distribution sweep shared by all three), PT-k and
 // Global-Topk at the same k (one top-k-probability sweep shared by both),
-// and a U-Topk. The facade recomputes every one of those sweeps per call;
-// the engine runs the two heavy sweeps once each, on parallel workers.
-std::vector<RankingQuery> MakeBatch() {
+// and a U-Topk. Preparing per query recomputes every one of those sweeps
+// per call; the shared engine runs the two heavy sweeps once each, on
+// parallel workers.
+std::vector<QueryRequest> MakeBatch() {
   return {
       MakeQuery(RankingSemantics::kExpectedRank, 10),
       MakeQuery(RankingSemantics::kExpectedRank, 100),
@@ -86,14 +85,15 @@ void RunExperiment(int kN) {
   config.num_tuples = kN;
   config.seed = 23;
   const TupleRelation rel = GenerateTupleRelation(config);
-  const std::vector<RankingQuery> batch = MakeBatch();
+  const std::vector<QueryRequest> batch = MakeBatch();
 
-  // (a) Legacy facade: every call prepares from scratch.
+  // (a) One query at a time: every query prepares from scratch.
   Timer facade_timer;
   std::vector<RankingAnswer> facade_answers;
   facade_answers.reserve(batch.size());
-  for (const RankingQuery& q : batch) {
-    facade_answers.push_back(RunRankingQuery(rel, q));
+  for (const QueryRequest& q : batch) {
+    const QueryEngine one_shot(QueryEngine::Prepare(rel));
+    facade_answers.push_back(one_shot.Run(q).answer);
   }
   const double facade_ms = facade_timer.ElapsedMs();
 
@@ -118,7 +118,8 @@ void RunExperiment(int kN) {
                    "pruned"});
   for (size_t i = 0; i < batch.size(); ++i) {
     const QueryStats& s = results[i].stats;
-    per_query.AddRow({ToString(batch[i].semantics), FormatInt(batch[i].k),
+    per_query.AddRow({ToString(batch[i].options.semantics),
+                      FormatInt(batch[i].options.k),
                       FormatDouble(s.wall_ms, 3),
                       s.reused_cache ? "yes" : "no", FormatInt(s.dp_cells),
                       FormatInt(s.tuples_pruned)});
@@ -127,9 +128,10 @@ void RunExperiment(int kN) {
   std::printf("\n");
 
   const double speedup = engine_ms > 0.0 ? facade_ms / engine_ms : 0.0;
-  Table summary("E19b: facade-sequential vs engine-batch end to end",
+  Table summary("E19b: prepare-per-query vs engine-batch end to end",
                 {"mode", "total ms", "speedup", "answers match"});
-  summary.AddRow({"facade x8", FormatDouble(facade_ms, 2), "1.00", "-"});
+  summary.AddRow({"prepare-per-query x8", FormatDouble(facade_ms, 2), "1.00",
+                  "-"});
   summary.AddRow({"engine batch", FormatDouble(engine_ms, 2),
                   FormatDouble(speedup, 2), mismatches == 0 ? "yes" : "NO"});
   summary.Print();
@@ -148,7 +150,7 @@ void RunScalingGrid(int kGridN) {
   config.num_tuples = kGridN;
   config.seed = 29;
   const TupleRelation rel = GenerateTupleRelation(config);
-  const std::vector<RankingQuery> batch = MakeBatch();
+  const std::vector<QueryRequest> batch = MakeBatch();
 
   struct GridPoint {
     int batch_threads;
@@ -163,13 +165,14 @@ void RunScalingGrid(int kGridN) {
               {"batch threads", "intra threads", "total ms", "speedup",
                "answers match"});
   for (const GridPoint& point : grid) {
-    ParallelismOptions par;
-    par.threads = point.intra_threads;
+    std::vector<QueryRequest> requests = batch;
+    for (QueryRequest& request : requests) {
+      request.parallelism.threads = point.intra_threads;
+    }
     Timer timer;
-    QueryEngine engine(rel);
-    engine.set_parallelism(par);
+    const QueryEngine engine(rel);
     const std::vector<QueryResult> results =
-        engine.RunBatch(batch, point.batch_threads);
+        engine.RunBatch(requests, point.batch_threads);
     const double ms = timer.ElapsedMs();
 
     bool match = true;

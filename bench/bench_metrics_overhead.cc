@@ -49,12 +49,12 @@ double Median(std::vector<double> xs) {
 // hits the warmed cache — exercising the miss and hit paths every rep.
 double OneRep(const TupleRelation& rel) {
   Timer timer;
-  QueryEngine engine(rel);
-  RankingQuery q;
-  q.semantics = RankingSemantics::kExpectedRank;
-  q.k = 10;
+  const QueryEngine engine(rel);
+  QueryRequest q;
+  q.options.semantics = RankingSemantics::kExpectedRank;
+  q.options.k = 10;
   const QueryResult cold = engine.Run(q);
-  q.k = 100;
+  q.options.k = 100;
   const QueryResult warm = engine.Run(q);
   // Consume the answers so the optimizer cannot drop the work.
   return cold.status.ok() && warm.status.ok() && !warm.answer.ids.empty()

@@ -233,9 +233,10 @@ std::vector<Measurement> AttrPruneSeries(const AttrRelation& rel, int n) {
   const TiePolicy ties = TiePolicy::kBreakByIndex;
   std::vector<Measurement> series;
 
+  const auto unpruned_prepared = QueryEngine::Prepare(rel);
   Timer unpruned_timer;
   const std::vector<RankedTuple> unpruned =
-      AttrQuantileRankTopK(rel, kTopK, kPhi, ties);
+      AttrQuantileRankTopK(*unpruned_prepared, kTopK, kPhi, ties);
   const double unpruned_serial_ms = unpruned_timer.ElapsedMs();
   const std::uint64_t reference = TopKFingerprint(unpruned);
   series.push_back(Row("attr_quantile_unpruned", n, 1, unpruned_serial_ms,

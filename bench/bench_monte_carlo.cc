@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/engine/prepared_relation.h"
 #include "core/expected_rank_tuple.h"
 #include "core/monte_carlo.h"
 #include "gen/tuple_gen.h"
@@ -35,9 +36,10 @@ void RunExperiment() {
   TupleRelation rel = GenerateTupleRelation(config);
 
   std::vector<double> exact;
-  const double exact_ms =
-      MedianTimeMs(5, [&] { exact = TupleExpectedRanks(rel); });
-  const std::vector<int> exact_topk = IdsOf(TupleExpectedRankTopK(rel, kK));
+  const double exact_ms = MedianTimeMs(
+      5, [&] { exact = TupleExpectedRanks(PreparedTupleRelation(rel)); });
+  const std::vector<int> exact_topk =
+      IdsOf(TupleExpectedRankTopK(PreparedTupleRelation(rel), kK));
 
   Table table("E13: Monte Carlo vs exact T-ERank (N = 5000, k = 50)",
               {"samples", "time (ms)", "mean |err|", "max |err|",

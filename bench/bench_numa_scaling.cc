@@ -14,7 +14,8 @@
 //     relation bounds the Poisson-binomial support with a few hundred
 //     wide exclusion rules so the N=1M DP stays minutes-free.
 //
-// Every run is fingerprinted against the serial facade; any bit
+// Every run is fingerprinted against a serial one-thread reference (the
+// single-shard T-ERank sweep, the kernel-level median DP); any bit
 // difference fails the harness. Speedup columns are only meaningful on
 // multi-core (and multi-node) hosts — the identical column must read
 // "yes" everywhere, including single-core CI.
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "core/expected_rank_tuple.h"
 #include "core/internal/shard_plan.h"
 #include "core/quantile_rank.h"
+#include "core/rank_distribution_tuple.h"
 #include "model/tuple_model.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
@@ -130,14 +133,24 @@ Measurement Measure(const std::string& kernel, int n, int threads,
   return m;
 }
 
+// The serial T-ERank sweep: one shard entered from zero state, one thread.
+std::uint64_t SerialExpectedRankPrint(const TupleRelation& rel,
+                                      const std::vector<int>& rank_order,
+                                      TiePolicy ties) {
+  const internal::TupleShardPlan single = internal::BuildTupleShardPlan(
+      rel, rank_order, /*first_touch=*/false, /*max_shards=*/1);
+  return VectorFingerprint(
+      TupleExpectedRanksSharded(rel, single, ties, ParallelismOptions{}));
+}
+
 // Sharded expected-rank series: one row per (placement, threads), all
-// fingerprint-checked against the serial facade.
+// fingerprint-checked against the serial sweep.
 std::vector<Measurement> ExpectedRankPlacementSeries(const TupleRelation& rel,
                                                      int n) {
   const TiePolicy ties = TiePolicy::kBreakByIndex;
-  const std::uint64_t baseline =
-      VectorFingerprint(TupleExpectedRanks(rel, ties));
   const auto prepared = QueryEngine::Prepare(rel);
+  const std::uint64_t baseline =
+      SerialExpectedRankPrint(rel, prepared->rank_order(), ties);
   const internal::TupleShardPlan& plan = prepared->shard_plan();
 
   std::vector<Measurement> series;
@@ -164,9 +177,9 @@ std::vector<Measurement> ExpectedRankPlacementSeries(const TupleRelation& rel,
 std::vector<Measurement> ExpectedRankShardCountSeries(const TupleRelation& rel,
                                                       int n) {
   const TiePolicy ties = TiePolicy::kBreakByIndex;
-  const std::uint64_t baseline =
-      VectorFingerprint(TupleExpectedRanks(rel, ties));
   const auto prepared = QueryEngine::Prepare(rel);
+  const std::uint64_t baseline =
+      SerialExpectedRankPrint(rel, prepared->rank_order(), ties);
 
   std::vector<Measurement> series;
   double base_wall_ms = 0.0;
@@ -195,8 +208,14 @@ std::vector<Measurement> ExpectedRankShardCountSeries(const TupleRelation& rel,
 std::vector<Measurement> MedianRankPlacementSeries(const TupleRelation& rel,
                                                    int n) {
   const TiePolicy ties = TiePolicy::kBreakByIndex;
-  const std::uint64_t baseline =
-      VectorFingerprint(TupleQuantileRanks(rel, 0.5, ties));
+  // Serial reference: the kernel-level sweep (its own sort, no entry
+  // table), one thread.
+  std::vector<int> serial(static_cast<size_t>(rel.size()), 0);
+  ForEachTupleRankDistribution(
+      rel, ties, [&](int i, std::span<const double> dist) {
+        serial[static_cast<size_t>(i)] = QuantileFromPmf(dist, 0.5);
+      });
+  const std::uint64_t baseline = VectorFingerprint(serial);
 
   std::vector<Measurement> series;
   for (PlacementPolicy placement : kPolicies) {

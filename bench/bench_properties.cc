@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine/prepared_relation.h"
 #include "core/expected_rank_attr.h"
 #include "core/expected_rank_tuple.h"
 #include "core/properties.h"
@@ -46,44 +47,60 @@ struct Row {
 std::vector<Row> AllSemantics() {
   return {
       {"U-Topk",
-       [](const AttrRelation& r, int k) { return AttrUTopK(r, k).ids; },
-       [](const TupleRelation& r, int k) { return TupleUTopK(r, k).ids; }},
-      {"U-kRanks",
-       [](const AttrRelation& r, int k) { return AttrUKRanks(r, k); },
-       [](const TupleRelation& r, int k) { return TupleUKRanks(r, k); }},
-      {"PT-k(0.3)",
-       [](const AttrRelation& r, int k) { return AttrPTk(r, k, 0.3); },
-       [](const TupleRelation& r, int k) { return TuplePTk(r, k, 0.3); }},
-      {"Global-Topk",
-       [](const AttrRelation& r, int k) { return AttrGlobalTopK(r, k); },
-       [](const TupleRelation& r, int k) { return TupleGlobalTopK(r, k); }},
-      {"E-Score",
        [](const AttrRelation& r, int k) {
-         return IdsOf(AttrExpectedScoreTopK(r, k));
+         return AttrUTopK(PreparedAttrRelation(r), k).ids;
        },
        [](const TupleRelation& r, int k) {
-         return IdsOf(TupleExpectedScoreTopK(r, k));
+         return TupleUTopK(PreparedTupleRelation(r), k).ids;
+       }},
+      {"U-kRanks",
+       [](const AttrRelation& r, int k) {
+         return AttrUKRanks(PreparedAttrRelation(r), k);
+       },
+       [](const TupleRelation& r, int k) {
+         return TupleUKRanks(PreparedTupleRelation(r), k);
+       }},
+      {"PT-k(0.3)",
+       [](const AttrRelation& r, int k) {
+         return AttrPTk(PreparedAttrRelation(r), k, 0.3);
+       },
+       [](const TupleRelation& r, int k) {
+         return TuplePTk(PreparedTupleRelation(r), k, 0.3);
+       }},
+      {"Global-Topk",
+       [](const AttrRelation& r, int k) {
+         return AttrGlobalTopK(PreparedAttrRelation(r), k);
+       },
+       [](const TupleRelation& r, int k) {
+         return TupleGlobalTopK(PreparedTupleRelation(r), k);
+       }},
+      {"E-Score",
+       [](const AttrRelation& r, int k) {
+         return IdsOf(AttrExpectedScoreTopK(PreparedAttrRelation(r), k));
+       },
+       [](const TupleRelation& r, int k) {
+         return IdsOf(TupleExpectedScoreTopK(PreparedTupleRelation(r), k));
        }},
       {"E-Rank",
        [](const AttrRelation& r, int k) {
-         return IdsOf(AttrExpectedRankTopK(r, k));
+         return IdsOf(AttrExpectedRankTopK(PreparedAttrRelation(r), k));
        },
        [](const TupleRelation& r, int k) {
-         return IdsOf(TupleExpectedRankTopK(r, k));
+         return IdsOf(TupleExpectedRankTopK(PreparedTupleRelation(r), k));
        }},
       {"M-Rank",
        [](const AttrRelation& r, int k) {
-         return IdsOf(AttrQuantileRankTopK(r, k, 0.5));
+         return IdsOf(AttrQuantileRankTopK(PreparedAttrRelation(r), k, 0.5));
        },
        [](const TupleRelation& r, int k) {
-         return IdsOf(TupleQuantileRankTopK(r, k, 0.5));
+         return IdsOf(TupleQuantileRankTopK(PreparedTupleRelation(r), k, 0.5));
        }},
       {"Q-Rank(.75)",
        [](const AttrRelation& r, int k) {
-         return IdsOf(AttrQuantileRankTopK(r, k, 0.75));
+         return IdsOf(AttrQuantileRankTopK(PreparedAttrRelation(r), k, 0.75));
        },
        [](const TupleRelation& r, int k) {
-         return IdsOf(TupleQuantileRankTopK(r, k, 0.75));
+         return IdsOf(TupleQuantileRankTopK(PreparedTupleRelation(r), k, 0.75));
        }},
   };
 }

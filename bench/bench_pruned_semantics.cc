@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/engine/prepared_relation.h"
 #include "core/semantics/global_topk.h"
 #include "core/semantics/u_kranks.h"
 #include "gen/tuple_gen.h"
@@ -60,8 +61,9 @@ void RunExperiment() {
   Table reference("E16 reference: full evaluation vs pruned (N = 4000, k = 20)",
                   {"algorithm", "time (ms)"});
   reference.AddRow({"Global-Topk (full DP)", FormatDouble(MedianTimeMs(3, [&] {
+                      const PreparedTupleRelation prepared(small_rel);
                       volatile size_t sink =
-                          TupleGlobalTopK(small_rel, 20).size();
+                          TupleGlobalTopK(prepared, 20).size();
                       (void)sink;
                     }), 2)});
   reference.AddRow({"Global-Topk (pruned)", FormatDouble(MedianTimeMs(3, [&] {
@@ -70,8 +72,8 @@ void RunExperiment() {
                       (void)sink;
                     }), 2)});
   reference.AddRow({"U-kRanks (full DP)", FormatDouble(MedianTimeMs(3, [&] {
-                      volatile size_t sink =
-                          TupleUKRanks(small_rel, 20).size();
+                      const PreparedTupleRelation prepared(small_rel);
+                      volatile size_t sink = TupleUKRanks(prepared, 20).size();
                       (void)sink;
                     }), 2)});
   reference.AddRow({"U-kRanks (pruned)", FormatDouble(MedianTimeMs(3, [&] {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine/prepared_relation.h"
 #include "core/expected_rank_tuple.h"
 #include "core/quantile_rank.h"
 #include "core/ranking.h"
@@ -40,25 +41,29 @@ std::vector<NamedSemantics> AllSemantics() {
   return {
       {"E-Rank",
        [](const TupleRelation& r, int k) {
-         return IdsOf(TupleExpectedRankTopK(r, k));
+         return IdsOf(TupleExpectedRankTopK(PreparedTupleRelation(r), k));
        }},
       {"M-Rank",
        [](const TupleRelation& r, int k) {
-         return IdsOf(TupleQuantileRankTopK(r, k, 0.5));
+         return IdsOf(TupleQuantileRankTopK(PreparedTupleRelation(r), k, 0.5));
        }},
       {"Q-Rank(.75)",
        [](const TupleRelation& r, int k) {
-         return IdsOf(TupleQuantileRankTopK(r, k, 0.75));
+         return IdsOf(TupleQuantileRankTopK(PreparedTupleRelation(r), k, 0.75));
        }},
       {"Global-Topk",
-       [](const TupleRelation& r, int k) { return TupleGlobalTopK(r, k); }},
+       [](const TupleRelation& r, int k) {
+         return TupleGlobalTopK(PreparedTupleRelation(r), k);
+       }},
       // Feasible at this scale only because of the polynomial cutoff
       // sweep (E17); the answer can be shorter than k.
       {"U-Topk",
-       [](const TupleRelation& r, int k) { return TupleUTopK(r, k).ids; }},
+       [](const TupleRelation& r, int k) {
+         return TupleUTopK(PreparedTupleRelation(r), k).ids;
+       }},
       {"U-kRanks",
        [](const TupleRelation& r, int k) {
-         std::vector<int> ids = TupleUKRanks(r, k);
+         std::vector<int> ids = TupleUKRanks(PreparedTupleRelation(r), k);
          std::vector<int> real;
          for (int id : ids) {
            if (id >= 0) real.push_back(id);
@@ -67,7 +72,7 @@ std::vector<NamedSemantics> AllSemantics() {
        }},
       {"E-Score",
        [](const TupleRelation& r, int k) {
-         return IdsOf(TupleExpectedScoreTopK(r, k));
+         return IdsOf(TupleExpectedScoreTopK(PreparedTupleRelation(r), k));
        }},
   };
 }
@@ -105,10 +110,12 @@ void RunExperiment() {
 
   // Kendall tau over the FULL orderings of the statistic-based
   // definitions (all produce a total order over all N tuples).
-  const std::vector<int> er = IdsOf(TupleExpectedRankTopK(rel, kN));
-  const std::vector<int> mr = IdsOf(TupleQuantileRankTopK(rel, kN, 0.5));
-  const std::vector<int> qr = IdsOf(TupleQuantileRankTopK(rel, kN, 0.75));
-  const std::vector<int> es = IdsOf(TupleExpectedScoreTopK(rel, kN));
+  const PreparedTupleRelation prepared(rel);
+  const std::vector<int> er = IdsOf(TupleExpectedRankTopK(prepared, kN));
+  const std::vector<int> mr = IdsOf(TupleQuantileRankTopK(prepared, kN, 0.5));
+  const std::vector<int> qr =
+      IdsOf(TupleQuantileRankTopK(prepared, kN, 0.75));
+  const std::vector<int> es = IdsOf(TupleExpectedScoreTopK(prepared, kN));
   Table tau("E10: rank-correlation distances between full orderings",
             {"pair", "Kendall tau", "Spearman footrule"});
   auto add = [&](const char* name, const std::vector<int>& a,

@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/engine/prepared_relation.h"
 #include "core/expected_rank_tuple.h"
 #include "gen/tuple_gen.h"
 
@@ -25,7 +26,8 @@ TupleRelation MakeRelation(int n, double multi_rule_fraction) {
 void BM_TERank_Independent(benchmark::State& state) {
   TupleRelation rel = MakeRelation(static_cast<int>(state.range(0)), 0.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TupleExpectedRanks(rel));
+    const PreparedTupleRelation prepared(rel);  // fresh: no memo hit
+    benchmark::DoNotOptimize(TupleExpectedRanks(prepared));
   }
 }
 BENCHMARK(BM_TERank_Independent)
@@ -36,7 +38,8 @@ BENCHMARK(BM_TERank_Independent)
 void BM_TERank_WithRules(benchmark::State& state) {
   TupleRelation rel = MakeRelation(static_cast<int>(state.range(0)), 0.4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TupleExpectedRanks(rel));
+    const PreparedTupleRelation prepared(rel);  // fresh: no memo hit
+    benchmark::DoNotOptimize(TupleExpectedRanks(prepared));
   }
 }
 BENCHMARK(BM_TERank_WithRules)
@@ -59,7 +62,8 @@ BENCHMARK(BM_TupleBruteForce)
 void BM_TERankTopK(benchmark::State& state) {
   TupleRelation rel = MakeRelation(static_cast<int>(state.range(0)), 0.4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TupleExpectedRankTopK(rel, 50));
+    const PreparedTupleRelation prepared(rel);  // fresh: no memo hit
+    benchmark::DoNotOptimize(TupleExpectedRankTopK(prepared, 50));
   }
 }
 BENCHMARK(BM_TERankTopK)

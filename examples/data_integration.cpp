@@ -10,17 +10,36 @@
 //   $ ./data_integration
 
 #include <cstdio>
+#include <cstdlib>
+#include <utility>
 #include <vector>
 
-#include "core/expected_rank_tuple.h"  // urank-lint: allow(engine-api)
-#include "core/quantile_rank.h"  // urank-lint: allow(engine-api)
-#include "core/semantics/global_topk.h"  // urank-lint: allow(engine-api)
-#include "core/semantics/u_topk.h"  // urank-lint: allow(engine-api)
+#include "core/engine/query_engine.h"
+// T-ERank-Prune, which the engine does not route:
+// urank-lint: allow(engine-api)
+#include "core/expected_rank_tuple.h"
 #include "gen/tuple_gen.h"
 #include "model/tuple_model.h"
 #include "util/rng.h"
 
 namespace {
+
+// Top-k answer of one query; aborts the demo on a non-ok status.
+urank::RankingAnswer TopK(const urank::QueryEngine& engine,
+                          urank::RankingSemantics semantics, int k,
+                          urank::TiePolicy ties) {
+  urank::QueryRequest request;
+  request.options.semantics = semantics;
+  request.options.k = k;
+  request.options.ties = ties;
+  urank::QueryResult result = engine.Run(request);
+  if (!result.status.ok()) {
+    std::fprintf(stderr, "query failed: %s\n",
+                 result.status.message.c_str());
+    std::exit(1);
+  }
+  return std::move(result.answer);
+}
 
 // Builds the merged catalogue: `records` source records, each producing
 // 1-3 alternative matches whose confidences sum to at most 1.
@@ -52,33 +71,46 @@ int main() {
   urank::Rng rng(7);
   const int kRecords = 400;
   const int k = 8;
-  urank::TupleRelation catalogue = BuildMergedCatalogue(kRecords, rng);
+  const urank::TupleRelation catalogue = BuildMergedCatalogue(kRecords, rng);
+  const urank::QueryEngine engine(catalogue);
 
   std::printf("Merged catalogue: %d candidate tuples from %d records "
               "(%d exclusion rules), E[|W|] = %.1f\n\n",
               catalogue.size(), kRecords, catalogue.num_rules(),
               catalogue.ExpectedWorldSize());
 
+  // Expected ranks use the paper's strict-greater rank definition
+  // (Definition 6); the other semantics break score ties by index.
+  const urank::RankingAnswer by_rank =
+      TopK(engine, urank::RankingSemantics::kExpectedRank, k,
+           urank::TiePolicy::kStrictGreater);
   std::printf("Top-%d products by expected rank:\n", k);
-  for (const auto& rt : urank::TupleExpectedRankTopK(catalogue, k)) {
-    const int idx = rt.id;  // ids are dense in this example
-    std::printf("  match %4d  score %6.2f  conf %.2f  r = %.2f\n", rt.id,
-                catalogue.tuple(idx).score, catalogue.tuple(idx).prob,
-                rt.statistic);
+  for (size_t i = 0; i < by_rank.ids.size(); ++i) {
+    const int id = by_rank.ids[i];  // ids are dense in this example
+    std::printf("  match %4d  score %6.2f  conf %.2f  r = %.2f\n", id,
+                catalogue.tuple(id).score, catalogue.tuple(id).prob,
+                by_rank.statistics[i]);
   }
 
+  const urank::RankingAnswer by_median =
+      TopK(engine, urank::RankingSemantics::kMedianRank, k,
+           urank::TiePolicy::kBreakByIndex);
   std::printf("\nTop-%d by median rank:\n", k);
-  for (const auto& rt : urank::TupleQuantileRankTopK(catalogue, k, 0.5)) {
-    std::printf("  match %4d  median rank = %.0f\n", rt.id, rt.statistic);
+  for (size_t i = 0; i < by_median.ids.size(); ++i) {
+    std::printf("  match %4d  median rank = %.0f\n", by_median.ids[i],
+                by_median.statistics[i]);
   }
 
   std::printf("\nGlobal-Topk (by top-%d membership probability):\n", k);
-  for (int id : urank::TupleGlobalTopK(catalogue, k)) {
+  for (int id : TopK(engine, urank::RankingSemantics::kGlobalTopk, k,
+                     urank::TiePolicy::kBreakByIndex)
+                    .ids) {
     std::printf("  match %4d\n", id);
   }
 
-  // The pruned algorithm reads matches in score order and stops early —
-  // the access pattern a disk- or network-resident catalogue wants.
+  // The pruned algorithm (T-ERank-Prune, paper Section 6.2) reads matches
+  // in score order and stops early — the access pattern a disk- or
+  // network-resident catalogue wants.
   const urank::TuplePruneResult pruned =
       urank::TupleExpectedRankTopKPrune(catalogue, k);
   std::printf(

@@ -5,20 +5,32 @@
 
 #include <cstdio>
 
-#include "core/expected_rank_attr.h"  // urank-lint: allow(engine-api)
-#include "core/expected_rank_tuple.h"  // urank-lint: allow(engine-api)
-#include "core/quantile_rank.h"  // urank-lint: allow(engine-api)
+#include "core/engine/query_engine.h"
+// T-ERank-Prune, which the engine does not route:
+// urank-lint: allow(engine-api)
+#include "core/expected_rank_tuple.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
 
 namespace {
 
-void PrintRanked(const char* title,
-                 const std::vector<urank::RankedTuple>& ranked) {
+// Runs one top-k query and prints the answer: ids in rank order with the
+// statistic each was ranked by.
+void PrintTopK(const char* title, const urank::QueryEngine& engine,
+               urank::RankingSemantics semantics, int k) {
+  urank::QueryRequest request;
+  request.options.semantics = semantics;
+  request.options.k = k;
+  const urank::QueryResult result = engine.Run(request);
   std::printf("%s\n", title);
-  for (size_t pos = 0; pos < ranked.size(); ++pos) {
+  if (!result.status.ok()) {
+    std::printf("  error: %s\n", result.status.message.c_str());
+    return;
+  }
+  const urank::RankingAnswer& answer = result.answer;
+  for (size_t pos = 0; pos < answer.ids.size(); ++pos) {
     std::printf("  #%zu: tuple t%d (statistic %.3f)\n", pos + 1,
-                ranked[pos].id, ranked[pos].statistic);
+                answer.ids[pos], answer.statistics[pos]);
   }
 }
 
@@ -26,18 +38,19 @@ void PrintRanked(const char* title,
 
 int main() {
   // ---- Attribute-level model: every tuple exists, its score is a small
-  // discrete pdf (paper Fig. 2).
-  urank::AttrRelation attr({
+  // discrete pdf (paper Fig. 2). The engine prepares the relation once;
+  // every query after that reuses the prepared state.
+  const urank::QueryEngine attr(urank::AttrRelation({
       {1, {{100.0, 0.4}, {70.0, 0.6}}},
       {2, {{92.0, 0.6}, {80.0, 0.4}}},
       {3, {{85.0, 1.0}}},
-  });
-  PrintRanked("Attribute-level top-3 by expected rank (expect t2, t3, t1):",
-              urank::AttrExpectedRankTopK(attr, 3));
+  }));
+  PrintTopK("Attribute-level top-3 by expected rank (expect t2, t3, t1):",
+            attr, urank::RankingSemantics::kExpectedRank, 3);
 
   // ---- Tuple-level model: fixed scores, existence probabilities, and an
   // exclusion rule saying t2 and t4 never co-occur (paper Fig. 4).
-  urank::TupleRelation tuples(
+  const urank::TupleRelation tuples(
       {
           {1, 100.0, 0.4},
           {2, 90.0, 0.5},
@@ -45,15 +58,17 @@ int main() {
           {4, 70.0, 0.5},
       },
       {{0}, {1, 3}, {2}});
-  PrintRanked("\nTuple-level top-4 by expected rank (expect t3, t1, t2, t4):",
-              urank::TupleExpectedRankTopK(tuples, 4));
+  const urank::QueryEngine tuple(tuples);
+  PrintTopK("\nTuple-level top-4 by expected rank (expect t3, t1, t2, t4):",
+            tuple, urank::RankingSemantics::kExpectedRank, 4);
 
   // ---- The same query under the median rank: a more outlier-robust
   // statistic of the same rank distribution (paper Section 7).
-  PrintRanked("\nTuple-level top-4 by median rank (expect t2, t3, t1, t4):",
-              urank::TupleQuantileRankTopK(tuples, 4, /*phi=*/0.5));
+  PrintTopK("\nTuple-level top-4 by median rank (expect t2, t3, t1, t4):",
+            tuple, urank::RankingSemantics::kMedianRank, 4);
 
-  // ---- Pruned evaluation: same answer, fewer tuple accesses.
+  // ---- Pruned evaluation (T-ERank-Prune, paper Section 6.2): same
+  // answer, fewer tuple accesses.
   const urank::TuplePruneResult pruned =
       urank::TupleExpectedRankTopKPrune(tuples, 2);
   std::printf("\nT-ERank-Prune touched %d of %d tuples for the top-2.\n",

@@ -13,7 +13,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/quantile_rank.h"  // urank-lint: allow(engine-api)
+// SummarizeRankDistribution (the Section 7 rank statistics), which the
+// engine does not serve:
+// urank-lint: allow(engine-api)
+#include "core/quantile_rank.h"
 #include "core/rank_distribution_tuple.h"
 #include "gen/tuple_gen.h"
 #include "model/tuple_model.h"

@@ -41,15 +41,15 @@ const char* Mark(bool ok) { return ok ? "yes" : "NO"; }
 // (k is filled in per column).
 struct NamedSemantics {
   const char* name;
-  urank::RankingQuery query;
+  urank::QueryRequest query;
 };
 
-urank::RankingQuery MakeQuery(urank::RankingSemantics semantics,
+urank::QueryRequest MakeQuery(urank::RankingSemantics semantics,
                               double phi = 0.5, double threshold = 0.5) {
-  urank::RankingQuery query;
-  query.semantics = semantics;
-  query.phi = phi;
-  query.threshold = threshold;
+  urank::QueryRequest query;
+  query.options.semantics = semantics;
+  query.options.phi = phi;
+  query.options.threshold = threshold;
   return query;
 }
 
@@ -93,8 +93,7 @@ int main() {
   std::vector<urank::QueryRequest> batch;
   for (const NamedSemantics& semantics : all) {
     for (int k : ks) {
-      urank::QueryRequest request;
-      request.options = semantics.query;
+      urank::QueryRequest request = semantics.query;
       request.options.k = k;
       batch.push_back(request);
     }
@@ -125,11 +124,11 @@ int main() {
   for (const NamedSemantics& semantics : all) {
     // The checker perturbs the relation, so each call prepares fresh
     // state; capture the query shape and fill in k per invocation.
-    const urank::RankingQuery base = semantics.query;
+    const urank::QueryRequest base = semantics.query;
     const urank::TupleSemanticsFn fn = [base](const urank::TupleRelation& r,
                                               int k) {
-      urank::RankingQuery query = base;
-      query.k = k;
+      urank::QueryRequest query = base;
+      query.options.k = k;
       return urank::QueryEngine(r).Run(query).answer.ids;
     };
     const urank::PropertyReport report =

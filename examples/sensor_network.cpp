@@ -10,14 +10,34 @@
 //   $ ./sensor_network
 
 #include <cstdio>
+#include <cstdlib>
+#include <utility>
 
-#include "core/expected_rank_attr.h"  // urank-lint: allow(engine-api)
-#include "core/quantile_rank.h"  // urank-lint: allow(engine-api)
-#include "core/semantics/expected_score.h"  // urank-lint: allow(engine-api)
+#include "core/engine/query_engine.h"
+// A-ERank-Prune, which the engine does not route:
+// urank-lint: allow(engine-api)
+#include "core/expected_rank_attr.h"
 #include "model/attr_model.h"
 #include "util/rng.h"
 
 namespace {
+
+// Top-k answer of one query; aborts the demo on a non-ok status. Ranks
+// use the paper's strict-greater definition (Definition 6).
+urank::RankingAnswer TopK(const urank::QueryEngine& engine,
+                          urank::RankingSemantics semantics, int k) {
+  urank::QueryRequest request;
+  request.options.semantics = semantics;
+  request.options.k = k;
+  request.options.ties = urank::TiePolicy::kStrictGreater;
+  urank::QueryResult result = engine.Run(request);
+  if (!result.status.ok()) {
+    std::fprintf(stderr, "query failed: %s\n",
+                 result.status.message.c_str());
+    std::exit(1);
+  }
+  return std::move(result.answer);
+}
 
 // Builds a sensor field: `n` healthy sensors with tight pdfs around their
 // true temperature, plus one faulty sensor (id = n) whose pdf mixes a
@@ -45,34 +65,42 @@ int main() {
   urank::Rng rng(2026);
   const int kSensors = 200;
   const int k = 5;
-  urank::AttrRelation field = BuildSensorField(kSensors, rng);
+  const urank::AttrRelation field = BuildSensorField(kSensors, rng);
+  const urank::QueryEngine engine(field);
 
   std::printf("Sensor field: %d sensors (+1 faulty, id=%d)\n\n",
               kSensors, kSensors);
 
-  const auto by_score = urank::AttrExpectedScoreTopK(field, k);
+  const urank::RankingAnswer by_score =
+      TopK(engine, urank::RankingSemantics::kExpectedScore, k);
   std::printf("Top-%d by expected score (value-sensitive):\n", k);
-  for (const auto& rt : by_score) {
-    std::printf("  sensor %3d  E[temp] = %.2f C%s\n", rt.id, -rt.statistic,
-                rt.id == kSensors ? "   <-- faulty sensor promoted!" : "");
+  for (size_t i = 0; i < by_score.ids.size(); ++i) {
+    const int id = by_score.ids[i];
+    std::printf("  sensor %3d  E[temp] = %.2f C%s\n", id,
+                -by_score.statistics[i],
+                id == kSensors ? "   <-- faulty sensor promoted!" : "");
   }
 
-  const auto by_rank = urank::AttrExpectedRankTopK(field, k);
+  const urank::RankingAnswer by_rank =
+      TopK(engine, urank::RankingSemantics::kExpectedRank, k);
   std::printf("\nTop-%d by expected rank (value-invariant):\n", k);
-  for (const auto& rt : by_rank) {
-    std::printf("  sensor %3d  expected rank = %.2f%s\n", rt.id,
-                rt.statistic,
-                rt.id == kSensors ? "   <-- faulty sensor" : "");
+  for (size_t i = 0; i < by_rank.ids.size(); ++i) {
+    const int id = by_rank.ids[i];
+    std::printf("  sensor %3d  expected rank = %.2f%s\n", id,
+                by_rank.statistics[i],
+                id == kSensors ? "   <-- faulty sensor" : "");
   }
 
-  const auto by_median = urank::AttrQuantileRankTopK(field, k, 0.5);
+  const urank::RankingAnswer by_median =
+      TopK(engine, urank::RankingSemantics::kMedianRank, k);
   std::printf("\nTop-%d by median rank (outlier-robust):\n", k);
-  for (const auto& rt : by_median) {
-    std::printf("  sensor %3d  median rank = %.0f\n", rt.id, rt.statistic);
+  for (size_t i = 0; i < by_median.ids.size(); ++i) {
+    std::printf("  sensor %3d  median rank = %.0f\n", by_median.ids[i],
+                by_median.statistics[i]);
   }
 
-  // Pruned evaluation: sensors stream in expected-temperature order; the
-  // Markov bounds stop the scan early.
+  // Pruned evaluation (A-ERank-Prune, paper Section 5.2): sensors stream
+  // in expected-temperature order; the Markov bounds stop the scan early.
   const urank::AttrPruneResult pruned =
       urank::AttrExpectedRankTopKPrune(field, k);
   std::printf(

@@ -92,11 +92,6 @@ int PreparedAttrRelation::PositionOfId(int id) const {
 }
 
 std::shared_ptr<const std::vector<std::vector<double>>>
-PreparedAttrRelation::RankDistributions(TiePolicy ties) const {
-  return RankDistributions(ties, ParallelismOptions{}, nullptr);
-}
-
-std::shared_ptr<const std::vector<std::vector<double>>>
 PreparedAttrRelation::RankDistributions(TiePolicy ties,
                                         const ParallelismOptions& par,
                                         KernelReport* report) const {

@@ -196,16 +196,13 @@ class PreparedAttrRelation {
 
   // The full N x N rank-distribution matrix (AttrRankDistributions),
   // computed on first use per tie policy and shared by every matrix-backed
-  // semantics (quantile ranks, U-kRanks, top-k probabilities). The
-  // overload taking ParallelismOptions computes a cache miss with that
-  // much intra-query parallelism (results are bit-identical regardless)
-  // and Merge()s what the kernel did into `report` when non-null; a cache
-  // hit leaves `report` untouched.
+  // semantics (quantile ranks, U-kRanks, top-k probabilities). A cache
+  // miss is computed with `par` intra-query parallelism (results are
+  // bit-identical regardless) and Merge()s what the kernel did into
+  // `report` when non-null; a cache hit leaves `report` untouched.
   std::shared_ptr<const std::vector<std::vector<double>>> RankDistributions(
-      TiePolicy ties) const;
-  std::shared_ptr<const std::vector<std::vector<double>>> RankDistributions(
-      TiePolicy ties, const ParallelismOptions& par,
-      KernelReport* report) const;
+      TiePolicy ties, const ParallelismOptions& par = {},
+      KernelReport* report = nullptr) const;
 
   // Memoized per-tuple statistic vector: returns the cached value for
   // `key`, running `compute` (once, under single-flight discipline) on the

@@ -76,6 +76,11 @@ RankingAnswer WithProbabilities(std::vector<int> ids,
   return answer;
 }
 
+int RelationSize(const ResolvedRelation& resolved) {
+  return resolved.attr != nullptr ? resolved.attr->size()
+                                  : resolved.tuple->size();
+}
+
 RankingAnswer FromUTopK(const UTopKAnswer& utopk) {
   RankingAnswer answer;
   answer.ids = utopk.ids;
@@ -86,7 +91,7 @@ RankingAnswer FromUTopK(const UTopKAnswer& utopk) {
 // The memo-table key a query's ranking statistic lives under, used to
 // report cache reuse. U-Topk and attribute-level expected scores have no
 // key (never memoized / eagerly built) — both are handled by the callers.
-StatKey KeyFor(const RankingQuery& q) {
+StatKey KeyFor(const RankingQueryOptions& q) {
   switch (q.semantics) {
     case RankingSemantics::kExpectedRank:
       return {StatKey::Kind::kExpectedRank, 0, 0.0, q.ties};
@@ -110,7 +115,8 @@ StatKey KeyFor(const RankingQuery& q) {
 
 // Coarse dynamic-program cell counts for a cold run of each semantics;
 // formulas documented in docs/API.md.
-long long AttrDpCells(const PreparedAttrRelation& p, const RankingQuery& q) {
+long long AttrDpCells(const PreparedAttrRelation& p,
+                      const RankingQueryOptions& q) {
   const long long n = p.size();
   switch (q.semantics) {
     case RankingSemantics::kExpectedRank:
@@ -125,7 +131,7 @@ long long AttrDpCells(const PreparedAttrRelation& p, const RankingQuery& q) {
 }
 
 long long TupleDpCells(const PreparedTupleRelation& p,
-                       const RankingQuery& q) {
+                       const RankingQueryOptions& q) {
   const long long n = p.size();
   const long long m = p.relation().num_rules();
   switch (q.semantics) {
@@ -142,18 +148,18 @@ long long TupleDpCells(const PreparedTupleRelation& p,
   }
 }
 
-// The dispatchers run the statistic-producing kernel through its
-// parallel-aware overload (which warms the memo cache and reports what it
-// did into `report`), then assemble the answer through the same selection
-// code the serial facade uses — so answers stay bit-identical to the
-// one-shot entry points for any ParallelismOptions. Semantics without a
-// parallel kernel (linear scans, world enumeration) run serially and
-// leave `report` untouched.
+// The dispatchers run the statistic-producing kernel under `par` (which
+// warms the memo cache and reports what it did into `report`), then
+// assemble the answer through the per-semantics top-k selection over the
+// warmed cache — so answers are bit-identical for any ParallelismOptions.
+// Semantics without a parallel kernel (linear scans, world enumeration)
+// run serially and leave `report` untouched.
 // `prune` is set only for kMedianRank/kQuantileRank cache misses with
 // QueryRequest::prune: the pruned top-k kernels return the identical
 // answer while scanning a prefix of the expected-score order, and record
 // how far they got into `stats`.
-RankingAnswer RunAttr(const PreparedAttrRelation& p, const RankingQuery& q,
+RankingAnswer RunAttr(const PreparedAttrRelation& p,
+                      const RankingQueryOptions& q,
                       const ParallelismOptions& par, KernelReport* report,
                       bool prune, QueryStats* stats) {
   switch (q.semantics) {
@@ -199,7 +205,8 @@ RankingAnswer RunAttr(const PreparedAttrRelation& p, const RankingQuery& q,
   return {};
 }
 
-RankingAnswer RunTuple(const PreparedTupleRelation& p, const RankingQuery& q,
+RankingAnswer RunTuple(const PreparedTupleRelation& p,
+                       const RankingQueryOptions& q,
                        const ParallelismOptions& par, KernelReport* report,
                        bool prune, QueryStats* stats) {
   switch (q.semantics) {
@@ -365,15 +372,24 @@ ResolvedRelation QueryEngine::Resolve() const {
   return resolved;
 }
 
-QueryStatus QueryEngine::Validate(const RankingQuery& query) const {
+QueryStatus QueryEngine::Validate(const RankingQueryOptions& query) const {
   return ValidateResolved(query, Resolve());
 }
 
 QueryStatus QueryEngine::ValidateResolved(
-    const RankingQuery& query, const ResolvedRelation& resolved) const {
+    const RankingQueryOptions& query, const ResolvedRelation& resolved) const {
   if (query.k < 1) {
     std::ostringstream msg;
     msg << "k must be >= 1 (got " << query.k << ")";
+    return {QueryStatusCode::kInvalidK, msg.str()};
+  }
+  // Bounds every k-sized table the kernels allocate (U-Topk's O(N·k) DP,
+  // U-kRanks' per-chunk winner rows) by the relation size. An empty
+  // relation is exempt: Run answers it with an empty top-k for any k.
+  const int n = RelationSize(resolved);
+  if (n > 0 && query.k > n) {
+    std::ostringstream msg;
+    msg << "k must be <= N (got " << query.k << ", N = " << n << ")";
     return {QueryStatusCode::kInvalidK, msg.str()};
   }
   if (query.semantics == RankingSemantics::kQuantileRank &&
@@ -406,7 +422,7 @@ QueryResult QueryEngine::Run(const QueryRequest& request) const {
 
 QueryResult QueryEngine::RunResolved(const QueryRequest& request,
                                      const ResolvedRelation& resolved) const {
-  const RankingQuery& query = request.options;
+  const RankingQueryOptions& query = request.options;
   // Apply the runtime's placement constraints up front: resolve threads
   // and clamp a kNodeLocal request to one node's core count. Pure
   // scheduling — the answer is bit-identical either way; the clamp is
@@ -438,11 +454,9 @@ QueryResult QueryEngine::RunResolved(const QueryRequest& request,
 
   // An empty relation answers every semantics with an empty top-k: there
   // is nothing to rank, and the DP kernels' debug contracts (which the
-  // one-shot entry points keep — see the death tests) assume at least one
-  // tuple.
-  const int relation_size =
-      resolved.attr != nullptr ? resolved.attr->size() : resolved.tuple->size();
-  if (relation_size == 0) {
+  // per-semantics functions keep — see the death tests) assume at least
+  // one tuple.
+  if (RelationSize(resolved) == 0) {
     result.stats.simd_target = ToString(ActiveSimdTarget());
     result.stats.wall_ms = timer.ElapsedUs() * 1e-3;
     return result;
@@ -529,23 +543,6 @@ std::vector<QueryResult> QueryEngine::RunBatch(
                     RunResolved(requests[static_cast<size_t>(i)], resolved);
               });
   return results;
-}
-
-QueryResult QueryEngine::Run(const RankingQuery& query) const {
-  QueryRequest request;
-  request.options = query;
-  request.parallelism = par_;
-  return Run(request);
-}
-
-std::vector<QueryResult> QueryEngine::RunBatch(
-    const std::vector<RankingQuery>& queries, int threads) const {
-  std::vector<QueryRequest> requests(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    requests[i].options = queries[i];
-    requests[i].parallelism = par_;
-  }
-  return RunBatch(requests, threads);
 }
 
 }  // namespace urank

@@ -1,13 +1,10 @@
-// QueryEngine: the prepared-state query surface of the library.
-//
-// The legacy facade (core/query.h) re-derives every piece of shared state
-// — sort orders, prefix sums, rank-distribution matrices — on each call
-// and aborts on invalid options. The engine splits that into an explicit
-// lifecycle:
+// QueryEngine: the query surface of the library. Every ranking semantics
+// on either model runs through Run(const QueryRequest&) over prepared
+// state, with an explicit lifecycle:
 //
 //   1. Prepare(relation)  -> shared_ptr<const Prepared*Relation>
 //   2. QueryEngine engine(prepared);
-//   3. engine.Run(query)  -> QueryResult{status, answer, stats}
+//   3. engine.Run(request) -> QueryResult{status, answer, stats}
 //
 // Preparation is paid once per relation; every Run against the same engine
 // reuses the prepared sort orders and the memoized statistic vectors, so a
@@ -17,7 +14,10 @@
 //
 // Error taxonomy (recoverable — Run returns a status instead of aborting):
 //   kOk                      — query executed; answer/stats are valid.
-//   kInvalidK                — options.k < 1 (every semantics needs k).
+//   kInvalidK                — options.k < 1 (every semantics needs k), or
+//                              k > N on a non-empty relation of N tuples
+//                              (an empty relation answers any k >= 1 with
+//                              an empty top-k).
 //   kInvalidPhi              — kQuantileRank with phi outside (0,1].
 //   kInvalidThreshold        — kPTk with threshold outside (0,1].
 //   kWorldCountNotEnumerable — kUTopk on an attribute-level relation whose
@@ -27,8 +27,7 @@
 // Malformed *relations* (NaN scores, unnormalized pdfs, bad rule indices)
 // are still hard contract violations caught by URANK_CHECK at model
 // construction — the status codes cover per-query parameters only, which
-// is what a long-lived service wants to survive. The legacy facade keeps
-// its abort-on-bad-options contract by checking the returned status.
+// is what a long-lived service wants to survive.
 //
 // Thread-safety: a QueryEngine holds only shared_ptr<const ...> prepared
 // state, which is internally synchronized (see prepared_relation.h). Run
@@ -51,10 +50,6 @@
 #include "util/parallel.h"
 
 namespace urank {
-
-// The engine reuses the facade's option struct: it is already the full
-// parameter surface (semantics, k, phi, threshold, tie policy).
-using RankingQuery = RankingQueryOptions;
 
 // The status taxonomy is also the wire protocol's error contract
 // (docs/SERVING.md): each code has a stable numeric wire value (the
@@ -111,9 +106,8 @@ bool FromWireValue(int value, QueryStatusCode* out);
 struct QueryStatus {
   QueryStatusCode code = QueryStatusCode::kOk;
   // Human-readable detail; empty for kOk. Messages for invalid parameters
-  // mirror the URANK_CHECK wording of the one-shot entry points ("k must
-  // be >= 1", "phi must be in (0,1]", ...) so facade callers see the same
-  // diagnostics they always did.
+  // mirror the URANK_CHECK wording of the per-semantics functions ("k must
+  // be >= 1", "phi must be in (0,1]", ...).
   std::string message;
 
   bool ok() const { return code == QueryStatusCode::kOk; }
@@ -190,8 +184,7 @@ enum class CacheMode {
 // The one request surface shared by in-process callers and the wire
 // protocol: src/serve/protocol.h serializes exactly this struct (plus a
 // routing envelope), so a request built in code and a request parsed off a
-// socket flow through the same Run path. Replaces the former
-// (RankingQuery, set_parallelism) split — parallelism is part of the
+// socket flow through the same Run path. Parallelism is part of the
 // request, not engine state.
 struct QueryRequest {
   RankingQueryOptions options;
@@ -265,7 +258,7 @@ class QueryEngine {
 
   // Checks the query's parameters against the taxonomy above without
   // executing anything. Run calls this first.
-  QueryStatus Validate(const RankingQuery& query) const;
+  QueryStatus Validate(const RankingQueryOptions& query) const;
 
   // Executes one request. Never aborts on bad query parameters — check
   // result.status. Safe to call concurrently. deadline_ms and cache_mode
@@ -283,22 +276,6 @@ class QueryEngine {
   // deadlock.
   std::vector<QueryResult> RunBatch(const std::vector<QueryRequest>& requests,
                                     int threads = 0) const;
-
-  // DEPRECATED compatibility wrappers: the pre-QueryRequest surface. They
-  // wrap the query in a QueryRequest carrying the engine-level parallelism
-  // set via set_parallelism() and forward to the request overloads. New
-  // code should build a QueryRequest (which makes parallelism, deadline
-  // and cache policy explicit and per-request) instead.
-  QueryResult Run(const RankingQuery& query) const;
-  std::vector<QueryResult> RunBatch(const std::vector<RankingQuery>& queries,
-                                    int threads = 0) const;
-
-  // DEPRECATED side-channel consumed only by the legacy Run/RunBatch
-  // wrappers above: intra-query parallelism for the DP kernels behind
-  // cache misses. The QueryRequest overloads ignore this and use
-  // QueryRequest::parallelism.
-  void set_parallelism(const ParallelismOptions& par) { par_ = par; }
-  const ParallelismOptions& parallelism() const { return par_; }
 
   // The snapshot a Run entered now would execute against: the static
   // prepared state, or the mutable store's latest published epoch.
@@ -322,7 +299,7 @@ class QueryEngine {
   }
 
  private:
-  QueryStatus ValidateResolved(const RankingQuery& query,
+  QueryStatus ValidateResolved(const RankingQueryOptions& query,
                                const ResolvedRelation& resolved) const;
   QueryResult RunResolved(const QueryRequest& request,
                           const ResolvedRelation& resolved) const;
@@ -331,7 +308,6 @@ class QueryEngine {
   std::shared_ptr<const PreparedTupleRelation> tuple_;
   std::shared_ptr<MutableAttrRelation> mutable_attr_;
   std::shared_ptr<MutableTupleRelation> mutable_tuple_;
-  ParallelismOptions par_;
 };
 
 }  // namespace urank

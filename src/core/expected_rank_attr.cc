@@ -145,39 +145,6 @@ std::vector<double> ExpectedRanksSharded(const AttrRelation& rel,
 
 }  // namespace
 
-std::vector<double> AttrExpectedRanks(const AttrRelation& rel,
-                                      TiePolicy ties) {
-  return ExpectedRanksWithUniverse(rel, internal::BuildValueUniverse(rel),
-                                   ties);
-}
-
-std::vector<double> AttrExpectedRanks(const PreparedAttrRelation& prepared,
-                                      TiePolicy ties) {
-  const StatKey key{StatKey::Kind::kExpectedRank, 0, 0.0, ties};
-  return *prepared.CachedStat(key, [&] {
-    return ExpectedRanksWithUniverse(prepared.relation(),
-                                     prepared.universe(), ties);
-  });
-}
-
-std::vector<RankedTuple> AttrExpectedRankTopK(const AttrRelation& rel, int k,
-                                              TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  std::vector<double> ranks = AttrExpectedRanks(rel, ties);
-  std::vector<int> ids(static_cast<size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) {
-    ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  }
-  return TopKByStatistic(ids, ranks, k);
-}
-
-std::vector<RankedTuple> AttrExpectedRankTopK(
-    const PreparedAttrRelation& prepared, int k, TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return TopKByStatistic(prepared.ids(), AttrExpectedRanks(prepared, ties),
-                         k);
-}
-
 std::vector<double> AttrExpectedRanks(const PreparedAttrRelation& prepared,
                                       TiePolicy ties,
                                       const ParallelismOptions& par,
@@ -269,7 +236,9 @@ AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
   prefix.reserve(seen.size());
   for (const AttrTuple* t : seen) prefix.push_back(*t);
   AttrRelation curtailed(std::move(prefix));
-  std::vector<double> ranks = AttrExpectedRanks(curtailed);
+  std::vector<double> ranks = ExpectedRanksWithUniverse(
+      curtailed, internal::BuildValueUniverse(curtailed),
+      TiePolicy::kStrictGreater);
   std::vector<int> ids(static_cast<size_t>(curtailed.size()));
   for (int i = 0; i < curtailed.size(); ++i) {
     ids[static_cast<size_t>(i)] = curtailed.tuple(i).id;

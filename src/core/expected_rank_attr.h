@@ -34,42 +34,25 @@ std::vector<double> AttrExpectedRanksBruteForce(
     const AttrRelation& rel, TiePolicy ties = TiePolicy::kStrictGreater);
 
 // A-ERank: exact expected ranks for all tuples in O(sN log(sN)) using the
-// sorted value universe and suffix mass sums (eq. 4). Results are indexed
-// by tuple position, like the relation.
-std::vector<double> AttrExpectedRanks(
-    const AttrRelation& rel, TiePolicy ties = TiePolicy::kStrictGreater);
-
-// Exact top-k by expected rank (A-ERank + a size-k selection). Ties broken
-// by tuple id.
-std::vector<RankedTuple> AttrExpectedRankTopK(
-    const AttrRelation& rel, int k,
-    TiePolicy ties = TiePolicy::kStrictGreater);
-
-// Prepared-state overloads: reuse the prepared sorted value universe
-// (q(v) suffix masses) and memoize the full rank vector in the prepared
-// cache. Results are bit-identical to the one-shot forms above.
+// prepared sorted value universe (q(v) suffix masses, eq. 4), indexed by
+// tuple position. Sweeps the prepared relation's shard plan (contiguous
+// tuple ranges with precomputed per-entry tie masses) under `par`, so
+// shards run concurrently with no cross-shard state, and memoizes the full
+// rank vector in the prepared cache. Results are bit-identical for every
+// thread count, placement policy, and topology; `report` receives
+// threads/nodes used when the value was actually computed (a cache hit
+// leaves it untouched).
 std::vector<double> AttrExpectedRanks(
     const PreparedAttrRelation& prepared,
-    TiePolicy ties = TiePolicy::kStrictGreater);
+    TiePolicy ties = TiePolicy::kStrictGreater,
+    const ParallelismOptions& par = {}, KernelReport* report = nullptr);
 
-// Requires k >= 1.
+// Exact top-k by expected rank (A-ERank + a size-k selection). Ties broken
+// by tuple id. Requires k >= 1.
 std::vector<RankedTuple> AttrExpectedRankTopK(
     const PreparedAttrRelation& prepared, int k,
-    TiePolicy ties = TiePolicy::kStrictGreater);
-
-// Parallel prepared overloads: sweep the prepared relation's shard plan
-// (contiguous tuple ranges with precomputed per-entry tie masses) under
-// `par`, so shards run concurrently with no cross-shard state. Results
-// are bit-identical to the serial forms for every thread count, placement
-// policy, and topology; `report` receives threads/nodes used when the
-// value was actually computed (a cache hit leaves it untouched).
-std::vector<double> AttrExpectedRanks(const PreparedAttrRelation& prepared,
-                                      TiePolicy ties,
-                                      const ParallelismOptions& par,
-                                      KernelReport* report = nullptr);
-std::vector<RankedTuple> AttrExpectedRankTopK(
-    const PreparedAttrRelation& prepared, int k, TiePolicy ties,
-    const ParallelismOptions& par, KernelReport* report = nullptr);
+    TiePolicy ties = TiePolicy::kStrictGreater,
+    const ParallelismOptions& par = {}, KernelReport* report = nullptr);
 
 // Result of the pruned computation: the (approximate) top-k plus the
 // number of tuples retrieved from the sorted stream before the pruning

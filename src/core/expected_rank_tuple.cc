@@ -1,14 +1,10 @@
 #include "core/expected_rank_tuple.h"
 
-#include <algorithm>
-#include <numeric>
 #include <queue>
 
 #include "core/access.h"
 #include "core/engine/prepared_relation.h"
-#include "core/internal/kernel_arena.h"
 #include "core/internal/shard_plan.h"
-#include "core/internal/vector_kernels.h"
 #include "util/check.h"
 #include "util/kernel_annotations.h"
 
@@ -61,72 +57,6 @@ std::vector<double> TupleExpectedRanksBruteForce(const TupleRelation& rel,
 }
 
 namespace {
-
-// T-ERank sweep over a precomputed (score desc, index asc) permutation.
-URANK_KERNEL
-std::vector<double> ExpectedRanksInOrder(const TupleRelation& rel,
-                                         const std::vector<int>& order,
-                                         TiePolicy ties) {
-  const int n = rel.size();
-  const double ew = rel.ExpectedWorldSize();
-  const vk::KernelOps& ops = vk::Active();
-  std::vector<double> ranks(static_cast<size_t>(n), 0.0);
-  std::vector<double> rule_above(static_cast<size_t>(rel.num_rules()), 0.0);
-  // Inclusive prefix sums of existence probability in rank order:
-  // pref[idx] = Σ_{m <= idx} p(order[m]), so the "above" mass at a run
-  // starting at pos is pref[pos-1]. The scalar kernel accumulates left to
-  // right — the same addition sequence the incremental sweep performed.
-  internal::AlignedBuf pref;
-  pref.resize(static_cast<size_t>(n));
-  for (size_t idx = 0; idx < order.size(); ++idx) {
-    // Gather through the rank-order permutation; the contiguous prefix sum
-    // below is the vector kernel.
-    // urank-lint: allow(kernel-vectorize)
-    pref[idx] = rel.tuple(order[idx]).prob;
-  }
-  ops.prefix_sum(pref.data(), static_cast<size_t>(n));
-  // Sweep in rank order; under the strict policy a whole run of equal
-  // scores shares the same "above" masses, so flush a run only after every
-  // member was handled. Under kBreakByIndex each tuple is its own run.
-  size_t pos = 0;
-  while (pos < order.size()) {
-    size_t end = pos + 1;
-    if (ties == TiePolicy::kStrictGreater) {
-      while (end < order.size() &&
-             rel.tuple(order[end]).score == rel.tuple(order[pos]).score) {
-        ++end;
-      }
-    }
-    const double prefix_above = pos == 0 ? 0.0 : pref[pos - 1];
-    for (size_t idx = pos; idx < end; ++idx) {
-      const int i = order[idx];
-      const TLTuple& ti = rel.tuple(i);
-      const int r = rel.rule_of(i);
-      const double same_other = rel.rule_prob_sum(r) - ti.prob;
-      // Scatter through the rank-order permutation with a data-dependent
-      // rule-id gather; the contiguous mass is the prefix-sum kernel above.
-      // urank-lint: allow(kernel-vectorize)
-      ranks[static_cast<size_t>(i)] = ExpectedRankFromMasses(
-          ti.prob, prefix_above, rule_above[static_cast<size_t>(r)],
-          same_other, ew);
-    }
-    for (size_t idx = pos; idx < end; ++idx) {
-      const int i = order[idx];
-      // Scatter keyed by rule id — data-dependent indices, not a
-      // contiguous sweep a vector kernel could express.
-      // urank-lint: allow(kernel-vectorize)
-      rule_above[static_cast<size_t>(rel.rule_of(i))] += rel.tuple(i).prob;
-    }
-    pos = end;
-  }
-  // Eq. (8) mixes the in-world rank (< |W| <= N) with the absent branch's
-  // E[|W|] penalty, so every expected rank lies in [0, N].
-  URANK_DCHECK_MSG(
-      internal::AllFiniteInRange(ranks, 0.0, static_cast<double>(n),
-                                 1e-9 * static_cast<double>(n > 0 ? n : 1)),
-      "expected rank outside [0, N]");
-  return ranks;
-}
 
 // Shard-local T-ERank pass: sweeps one shard exactly as the serial kernel
 // would sweep positions [shard.begin, shard.end) — the entry state in the
@@ -203,47 +133,6 @@ std::vector<double> TupleExpectedRanksSharded(
                                  1e-9 * static_cast<double>(n > 0 ? n : 1)),
       "expected rank outside [0, N]");
   return ranks;
-}
-
-std::vector<double> TupleExpectedRanks(const TupleRelation& rel,
-                                       TiePolicy ties) {
-  const int n = rel.size();
-  std::vector<int> order(static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double sa = rel.tuple(a).score;
-    const double sb = rel.tuple(b).score;
-    if (sa != sb) return sa > sb;
-    return a < b;
-  });
-  return ExpectedRanksInOrder(rel, order, ties);
-}
-
-std::vector<double> TupleExpectedRanks(const PreparedTupleRelation& prepared,
-                                       TiePolicy ties) {
-  const StatKey key{StatKey::Kind::kExpectedRank, 0, 0.0, ties};
-  return *prepared.CachedStat(key, [&] {
-    return ExpectedRanksInOrder(prepared.relation(), prepared.rank_order(),
-                                ties);
-  });
-}
-
-std::vector<RankedTuple> TupleExpectedRankTopK(const TupleRelation& rel,
-                                               int k, TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  std::vector<double> ranks = TupleExpectedRanks(rel, ties);
-  std::vector<int> ids(static_cast<size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) {
-    ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  }
-  return TopKByStatistic(ids, ranks, k);
-}
-
-std::vector<RankedTuple> TupleExpectedRankTopK(
-    const PreparedTupleRelation& prepared, int k, TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return TopKByStatistic(prepared.ids(), TupleExpectedRanks(prepared, ties),
-                         k);
 }
 
 std::vector<double> TupleExpectedRanks(const PreparedTupleRelation& prepared,

@@ -41,50 +41,32 @@ struct TupleShardPlan;  // core/internal/shard_plan.h
 std::vector<double> TupleExpectedRanksBruteForce(
     const TupleRelation& rel, TiePolicy ties = TiePolicy::kStrictGreater);
 
-// T-ERank: exact expected ranks for all tuples in O(N log N). Results are
-// indexed by tuple position, like the relation.
-std::vector<double> TupleExpectedRanks(
-    const TupleRelation& rel, TiePolicy ties = TiePolicy::kStrictGreater);
-
-// Exact top-k by expected rank. Ties broken by tuple id.
-std::vector<RankedTuple> TupleExpectedRankTopK(
-    const TupleRelation& rel, int k,
-    TiePolicy ties = TiePolicy::kStrictGreater);
-
-// Prepared-state overloads: skip the per-call sort by sweeping the
-// prepared rank order, and memoize the full rank vector in the prepared
-// cache so repeated queries (any k) cost one computation. Results are
-// bit-identical to the one-shot forms above.
-std::vector<double> TupleExpectedRanks(
-    const PreparedTupleRelation& prepared,
-    TiePolicy ties = TiePolicy::kStrictGreater);
-
-// Requires k >= 1.
-std::vector<RankedTuple> TupleExpectedRankTopK(
-    const PreparedTupleRelation& prepared, int k,
-    TiePolicy ties = TiePolicy::kStrictGreater);
-
 // Shard-parallel T-ERank over a prebuilt shard plan: each shard is swept
 // locally from its precomputed entry state (prefix mass, per-rule masses),
 // so shards run concurrently with no cross-shard reads. Bit-identical to
-// the serial forms above for every thread count, placement policy, and
+// a one-thread sweep for every thread count, placement policy, and
 // shard count — the plan encodes the exact serial entry state.
 std::vector<double> TupleExpectedRanksSharded(
     const TupleRelation& rel, const internal::TupleShardPlan& plan,
     TiePolicy ties, const ParallelismOptions& par,
     KernelReport* report = nullptr);
 
-// Parallel prepared overloads: sweep the prepared relation's shard plan
-// under `par` and memoize the (parallelism-independent) rank vector in the
-// prepared cache. `report` receives threads/nodes used when the value was
+// T-ERank: exact expected ranks for all tuples in O(N log N), indexed by
+// tuple position. Sweeps the prepared relation's shard plan (skipping the
+// per-call sort) under `par` and memoizes the (parallelism-independent)
+// rank vector in the prepared cache, so repeated queries (any k) cost one
+// computation. `report` receives threads/nodes used when the value was
 // actually computed (a cache hit leaves it untouched).
-std::vector<double> TupleExpectedRanks(const PreparedTupleRelation& prepared,
-                                       TiePolicy ties,
-                                       const ParallelismOptions& par,
-                                       KernelReport* report = nullptr);
+std::vector<double> TupleExpectedRanks(
+    const PreparedTupleRelation& prepared,
+    TiePolicy ties = TiePolicy::kStrictGreater,
+    const ParallelismOptions& par = {}, KernelReport* report = nullptr);
+
+// Exact top-k by expected rank. Ties broken by tuple id. Requires k >= 1.
 std::vector<RankedTuple> TupleExpectedRankTopK(
-    const PreparedTupleRelation& prepared, int k, TiePolicy ties,
-    const ParallelismOptions& par, KernelReport* report = nullptr);
+    const PreparedTupleRelation& prepared, int k,
+    TiePolicy ties = TiePolicy::kStrictGreater,
+    const ParallelismOptions& par = {}, KernelReport* report = nullptr);
 
 // Result of the pruned computation. `topk` is the exact top-k (the eq. (9)
 // bound is sound, so pruning never changes the answer); `accessed` is the

@@ -2,22 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "core/engine/prepared_relation.h"
-#include "core/rank_distribution_attr.h"
 #include "core/rank_distribution_tuple.h"
 #include "util/check.h"
 #include "util/kernel_annotations.h"
 
 namespace urank {
 namespace {
-
-std::vector<int> IdsInOrder(int n, const std::function<int(int)>& id_of) {
-  std::vector<int> ids(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = id_of(i);
-  return ids;
-}
 
 std::vector<double> ToDouble(const std::vector<int>& v) {
   return std::vector<double>(v.begin(), v.end());
@@ -85,41 +77,6 @@ RankDistributionSummary SummarizeRankDistribution(
   return s;
 }
 
-std::vector<int> AttrQuantileRanks(const AttrRelation& rel, double phi,
-                                   TiePolicy ties) {
-  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
-  std::vector<int> ranks(static_cast<size_t>(rel.size()), 0);
-  // One DP per tuple against pdfs sorted once; the distribution and DP
-  // buffers are reused across tuples, so memory stays O(N + s) rather
-  // than materializing the full N×N distribution matrix.
-  const std::vector<internal::SortedPdf> pdfs = BuildSortedPdfs(rel);
-  internal::AlignedBuf pmf_scratch;
-  std::vector<double> dist;
-  for (int i = 0; i < rel.size(); ++i) {
-    AttrRankDistributionInto(rel, pdfs, i, ties, &pmf_scratch, &dist);
-    ranks[static_cast<size_t>(i)] = QuantileFromPmf(dist, phi);
-  }
-  return ranks;
-}
-
-std::vector<int> TupleQuantileRanks(const TupleRelation& rel, double phi,
-                                    TiePolicy ties) {
-  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
-  std::vector<int> ranks(static_cast<size_t>(rel.size()), 0);
-  ForEachTupleRankDistribution(
-      rel, ties, [&](int i, std::span<const double> dist) {
-        ranks[static_cast<size_t>(i)] = QuantileFromPmf(dist, phi);
-      });
-  return ranks;
-}
-
-std::vector<int> AttrQuantileRanks(const PreparedAttrRelation& prepared,
-                                   double phi, TiePolicy ties) {
-  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
-  return AttrQuantileRanks(prepared, phi, ties, ParallelismOptions{},
-                           nullptr);
-}
-
 std::vector<int> AttrQuantileRanks(const PreparedAttrRelation& prepared,
                                    double phi, TiePolicy ties,
                                    const ParallelismOptions& par,
@@ -138,13 +95,6 @@ std::vector<int> AttrQuantileRanks(const PreparedAttrRelation& prepared,
     return ranks;
   });
   return std::vector<int>(stat->begin(), stat->end());
-}
-
-std::vector<int> TupleQuantileRanks(const PreparedTupleRelation& prepared,
-                                    double phi, TiePolicy ties) {
-  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
-  return TupleQuantileRanks(prepared, phi, ties, ParallelismOptions{},
-                            nullptr);
 }
 
 std::vector<int> TupleQuantileRanks(const PreparedTupleRelation& prepared,
@@ -169,34 +119,6 @@ std::vector<int> TupleQuantileRanks(const PreparedTupleRelation& prepared,
     return ranks;
   });
   return std::vector<int>(stat->begin(), stat->end());
-}
-
-std::vector<int> AttrMedianRanks(const AttrRelation& rel, TiePolicy ties) {
-  return AttrQuantileRanks(rel, 0.5, ties);
-}
-
-std::vector<int> TupleMedianRanks(const TupleRelation& rel, TiePolicy ties) {
-  return TupleQuantileRanks(rel, 0.5, ties);
-}
-
-std::vector<RankedTuple> AttrQuantileRankTopK(const AttrRelation& rel, int k,
-                                              double phi, TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
-  std::vector<int> ids =
-      IdsInOrder(rel.size(), [&](int i) { return rel.tuple(i).id; });
-  return TopKByStatistic(ids, ToDouble(AttrQuantileRanks(rel, phi, ties)), k);
-}
-
-std::vector<RankedTuple> TupleQuantileRankTopK(const TupleRelation& rel,
-                                               int k, double phi,
-                                               TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  URANK_CHECK_MSG(phi > 0.0 && phi <= 1.0, "phi must be in (0,1]");
-  std::vector<int> ids =
-      IdsInOrder(rel.size(), [&](int i) { return rel.tuple(i).id; });
-  return TopKByStatistic(ids, ToDouble(TupleQuantileRanks(rel, phi, ties)),
-                         k);
 }
 
 std::vector<RankedTuple> AttrQuantileRankTopK(

@@ -16,8 +16,6 @@
 #include <vector>
 
 #include "core/ranking.h"
-#include "model/attr_model.h"
-#include "model/tuple_model.h"
 #include "model/types.h"
 #include "util/parallel.h"
 
@@ -54,52 +52,27 @@ struct RankDistributionSummary {
 RankDistributionSummary SummarizeRankDistribution(
     const std::vector<double>& pmf);
 
-// φ-quantile ranks of every tuple, indexed by tuple position.
-// Requires phi in (0, 1].
-std::vector<int> AttrQuantileRanks(const AttrRelation& rel, double phi,
-                                   TiePolicy ties = TiePolicy::kBreakByIndex);
-std::vector<int> TupleQuantileRanks(const TupleRelation& rel, double phi,
-                                    TiePolicy ties = TiePolicy::kBreakByIndex);
-
-// Median ranks (φ = 0.5).
-std::vector<int> AttrMedianRanks(const AttrRelation& rel,
-                                 TiePolicy ties = TiePolicy::kBreakByIndex);
-std::vector<int> TupleMedianRanks(const TupleRelation& rel,
-                                  TiePolicy ties = TiePolicy::kBreakByIndex);
-
-// Top-k by φ-quantile rank. Requires k >= 1 and phi in (0, 1]. The
-// reported statistic is the quantile rank.
-std::vector<RankedTuple> AttrQuantileRankTopK(
-    const AttrRelation& rel, int k, double phi,
-    TiePolicy ties = TiePolicy::kBreakByIndex);
-std::vector<RankedTuple> TupleQuantileRankTopK(
-    const TupleRelation& rel, int k, double phi,
-    TiePolicy ties = TiePolicy::kBreakByIndex);
-
-// Prepared-state overloads: the attribute-level form reads the shared
+// φ-quantile ranks of every tuple, indexed by tuple position; the median
+// rank is phi = 0.5. The attribute-level form reads the shared
 // rank-distribution matrix, the tuple-level form sweeps the prepared rank
 // order; both memoize the quantile-rank vector per (phi, ties) so the
-// underlying DP runs once. Results are bit-identical to the one-shot
-// forms. Requires phi in (0, 1] (and k >= 1 for the top-k forms).
+// underlying DP runs once. A cache miss runs the DP with `par` worker
+// slots (bit-identical results regardless) and Merge()s what the kernel
+// did into `report` when non-null; a cache hit leaves `report` untouched.
+// Requires phi in (0, 1].
 std::vector<int> AttrQuantileRanks(const PreparedAttrRelation& prepared,
                                    double phi,
-                                   TiePolicy ties = TiePolicy::kBreakByIndex);
-std::vector<int> TupleQuantileRanks(
-    const PreparedTupleRelation& prepared, double phi,
-    TiePolicy ties = TiePolicy::kBreakByIndex);
-
-// Parallel-aware prepared forms: a cache miss runs the underlying DP with
-// `par` worker slots (bit-identical results regardless) and Merge()s what
-// the kernel did into `report` when non-null; a cache hit leaves `report`
-// untouched. Requires phi in (0, 1].
-std::vector<int> AttrQuantileRanks(const PreparedAttrRelation& prepared,
-                                   double phi, TiePolicy ties,
-                                   const ParallelismOptions& par,
-                                   KernelReport* report);
+                                   TiePolicy ties = TiePolicy::kBreakByIndex,
+                                   const ParallelismOptions& par = {},
+                                   KernelReport* report = nullptr);
 std::vector<int> TupleQuantileRanks(const PreparedTupleRelation& prepared,
-                                    double phi, TiePolicy ties,
-                                    const ParallelismOptions& par,
-                                    KernelReport* report);
+                                    double phi,
+                                    TiePolicy ties = TiePolicy::kBreakByIndex,
+                                    const ParallelismOptions& par = {},
+                                    KernelReport* report = nullptr);
+
+// Top-k by φ-quantile rank over the memoized vector above. Requires
+// k >= 1 and phi in (0, 1]. The reported statistic is the quantile rank.
 std::vector<RankedTuple> AttrQuantileRankTopK(
     const PreparedAttrRelation& prepared, int k, double phi,
     TiePolicy ties = TiePolicy::kBreakByIndex);

@@ -1,25 +1,6 @@
 #include "core/query.h"
 
-#include <utility>
-
-#include "core/engine/query_engine.h"
-#include "util/check.h"
-
 namespace urank {
-namespace {
-
-// The facade's abort-on-bad-options contract, layered over the engine's
-// recoverable statuses: run through a throwaway engine and promote any
-// validation failure to a URANK_CHECK with the engine's message.
-template <typename Relation>
-RankingAnswer PrepareAndRun(Relation rel, const RankingQueryOptions& options) {
-  const QueryEngine engine(std::move(rel));
-  QueryResult result = engine.Run(options);
-  URANK_CHECK_MSG(result.status.ok(), result.status.message.c_str());
-  return std::move(result.answer);
-}
-
-}  // namespace
 
 const char* ToString(RankingSemantics semantics) {
   switch (semantics) {
@@ -79,22 +60,5 @@ bool FromString(std::string_view name, TiePolicy* out) {
   }
   return false;
 }
-
-// The definitions of the deprecated facade itself: suppress the
-// self-referential deprecation diagnostics GCC emits for them.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-RankingAnswer RunRankingQuery(const AttrRelation& rel,
-                              const RankingQueryOptions& options) {
-  return PrepareAndRun(rel, options);
-}
-
-RankingAnswer RunRankingQuery(const TupleRelation& rel,
-                              const RankingQueryOptions& options) {
-  return PrepareAndRun(rel, options);
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace urank

@@ -1,25 +1,17 @@
-// Unified query facade: run any of the library's ranking semantics on
-// either uncertainty model through one entry point.
-//
-// COMPATIBILITY WRAPPER. RunRankingQuery is now a thin shim over the
-// prepared-state engine (core/engine/query_engine.h): it prepares the
-// relation, runs the single query, and aborts if the engine reports
-// invalid options. Each call pays the full preparation cost; applications
-// issuing more than one query against the same relation — or wanting
-// recoverable errors, per-query statistics, or parallel batches — should
-// use QueryEngine directly. The per-semantics headers likewise remain
-// available for callers that need the richer result types (probabilities,
-// prune statistics, rank distributions).
+// The ranking-query vocabulary shared by the engine
+// (core/engine/query_engine.h), the urankd wire protocol (serve/) and
+// in-process callers: the semantics enum, the per-query options, the
+// answer shape, and the stable names of semantics and tie policies.
+// Queries run through QueryEngine::Run(const QueryRequest&); the
+// per-semantics headers expose the prepared-state statistic and top-k
+// functions behind it.
 
 #ifndef URANK_CORE_QUERY_H_
 #define URANK_CORE_QUERY_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
-#include "model/attr_model.h"
-#include "model/tuple_model.h"
 #include "model/types.h"
 
 namespace urank {
@@ -57,8 +49,8 @@ struct RankingQueryOptions {
   int k = 10;
   double phi = 0.5;
   double threshold = 0.5;
-  // The facade defaults every semantics to the deterministic by-index tie
-  // policy so answers across semantics are directly comparable.
+  // Every semantics defaults to the deterministic by-index tie policy so
+  // answers across semantics are directly comparable.
   TiePolicy ties = TiePolicy::kBreakByIndex;
 };
 
@@ -73,29 +65,6 @@ struct RankingAnswer {
   std::vector<int> ids;
   std::vector<double> statistics;
 };
-
-// Runs the query described by `options`. Aborts on invalid options (k < 1,
-// phi/threshold out of range — see the per-semantics headers). U-Topk on
-// an attribute-level relation (and on a tuple-level relation with
-// multi-tuple rules) uses possible-worlds enumeration and therefore
-// requires an enumerable world count.
-//
-// Deprecated: each call re-prepares the relation from scratch and aborts
-// on invalid options. Build a QueryEngine and pass a QueryRequest
-// (core/engine/query_engine.h) instead — preparation is paid once,
-// errors are recoverable statuses, and the same request struct serves the
-// urankd wire protocol. Retained for the facade tests and as the
-// simplest possible entry point.
-[[deprecated(
-    "prepare a QueryEngine and Run a QueryRequest instead "
-    "(core/engine/query_engine.h)")]]
-RankingAnswer RunRankingQuery(const AttrRelation& rel,
-                              const RankingQueryOptions& options);
-[[deprecated(
-    "prepare a QueryEngine and Run a QueryRequest instead "
-    "(core/engine/query_engine.h)")]]
-RankingAnswer RunRankingQuery(const TupleRelation& rel,
-                              const RankingQueryOptions& options);
 
 }  // namespace urank
 

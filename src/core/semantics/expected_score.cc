@@ -1,7 +1,5 @@
 #include "core/semantics/expected_score.h"
 
-#include <limits>
-
 #include "core/engine/prepared_relation.h"
 #include "util/check.h"
 
@@ -15,23 +13,8 @@ std::vector<RankedTuple> NegatedTopK(const std::vector<double>& scores,
   return TopKByStatistic(ids, neg, k);
 }
 
-}  // namespace
-
-std::vector<double> AttrExpectedScores(const AttrRelation& rel) {
-  std::vector<double> scores(static_cast<size_t>(rel.size()), 0.0);
-  for (int i = 0; i < rel.size(); ++i) {
-    scores[static_cast<size_t>(i)] = rel.tuple(i).ExpectedScore();
-  }
-  // Score values are validated finite, so their expectations must be too.
-  URANK_DCHECK_MSG(
-      internal::AllFiniteInRange(scores,
-                                 -std::numeric_limits<double>::infinity(),
-                                 std::numeric_limits<double>::infinity()),
-      "expected score is not finite");
-  return scores;
-}
-
-std::vector<double> TupleExpectedScores(const TupleRelation& rel) {
+// p(t_i)·v_i per tuple: an absent tuple contributes score 0.
+std::vector<double> ScoresTimesProbabilities(const TupleRelation& rel) {
   std::vector<double> scores(static_cast<size_t>(rel.size()), 0.0);
   for (int i = 0; i < rel.size(); ++i) {
     URANK_DCHECK_PROB(rel.tuple(i).prob);
@@ -40,21 +23,7 @@ std::vector<double> TupleExpectedScores(const TupleRelation& rel) {
   return scores;
 }
 
-std::vector<RankedTuple> AttrExpectedScoreTopK(const AttrRelation& rel,
-                                               int k) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  std::vector<int> ids(static_cast<size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return NegatedTopK(AttrExpectedScores(rel), ids, k);
-}
-
-std::vector<RankedTuple> TupleExpectedScoreTopK(const TupleRelation& rel,
-                                                int k) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  std::vector<int> ids(static_cast<size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return NegatedTopK(TupleExpectedScores(rel), ids, k);
-}
+}  // namespace
 
 std::vector<double> AttrExpectedScores(const PreparedAttrRelation& prepared) {
   return prepared.expected_scores();
@@ -65,7 +34,7 @@ std::vector<double> TupleExpectedScores(
   const StatKey key{StatKey::Kind::kExpectedScore, 0, 0.0,
                     TiePolicy::kBreakByIndex};
   return *prepared.CachedStat(
-      key, [&] { return TupleExpectedScores(prepared.relation()); });
+      key, [&] { return ScoresTimesProbabilities(prepared.relation()); });
 }
 
 std::vector<RankedTuple> AttrExpectedScoreTopK(

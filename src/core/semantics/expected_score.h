@@ -12,33 +12,22 @@
 #include <vector>
 
 #include "core/ranking.h"
-#include "model/attr_model.h"
-#include "model/tuple_model.h"
 
 namespace urank {
 
 class PreparedAttrRelation;   // core/engine/prepared_relation.h
 class PreparedTupleRelation;  // core/engine/prepared_relation.h
 
-// Per-tuple expected scores, indexed by tuple position.
-std::vector<double> AttrExpectedScores(const AttrRelation& rel);
-std::vector<double> TupleExpectedScores(const TupleRelation& rel);
-
-// Top-k by descending expected score (ties by smaller id). The reported
-// statistic is the negated expected score, so lower is better as
-// everywhere in the library. Requires k >= 1.
-std::vector<RankedTuple> AttrExpectedScoreTopK(const AttrRelation& rel, int k);
-std::vector<RankedTuple> TupleExpectedScoreTopK(const TupleRelation& rel,
-                                                int k);
-
-// Prepared-state overloads. The attribute-level expected scores are built
-// eagerly at preparation time; the tuple-level ones are memoized on first
-// use. Identical answers to the one-shot forms.
+// Per-tuple expected scores, indexed by tuple position. The
+// attribute-level expected scores are built eagerly at preparation time;
+// the tuple-level ones are memoized on first use.
 std::vector<double> AttrExpectedScores(const PreparedAttrRelation& prepared);
 std::vector<double> TupleExpectedScores(
     const PreparedTupleRelation& prepared);
 
-// Prepared top-k selections. Requires k >= 1.
+// Top-k by descending expected score (ties by smaller id). The reported
+// statistic is the negated expected score, so lower is better as
+// everywhere in the library. Requires k >= 1.
 std::vector<RankedTuple> AttrExpectedScoreTopK(
     const PreparedAttrRelation& prepared, int k);
 std::vector<RankedTuple> TupleExpectedScoreTopK(

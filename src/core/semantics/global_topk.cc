@@ -22,22 +22,6 @@ std::vector<int> BestK(const std::vector<double>& probs,
 
 }  // namespace
 
-std::vector<int> AttrGlobalTopK(const AttrRelation& rel, int k,
-                                TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  std::vector<int> ids(static_cast<size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return BestK(AttrTopKProbabilities(rel, k, ties), ids, k);
-}
-
-std::vector<int> TupleGlobalTopK(const TupleRelation& rel, int k,
-                                 TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  std::vector<int> ids(static_cast<size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return BestK(TupleTopKProbabilities(rel, k, ties), ids, k);
-}
-
 std::vector<int> AttrGlobalTopK(const PreparedAttrRelation& prepared, int k,
                                 TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");

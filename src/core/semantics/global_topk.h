@@ -19,16 +19,9 @@ class PreparedAttrRelation;   // core/engine/prepared_relation.h
 class PreparedTupleRelation;  // core/engine/prepared_relation.h
 
 // Ids of the k tuples with the highest top-k probability, in descending
-// probability order (ties by smaller id). Requires k >= 1.
-std::vector<int> AttrGlobalTopK(const AttrRelation& rel, int k,
-                                TiePolicy ties = TiePolicy::kBreakByIndex);
-std::vector<int> TupleGlobalTopK(const TupleRelation& rel, int k,
-                                 TiePolicy ties = TiePolicy::kBreakByIndex);
-
-// Prepared-state overloads: the top-k probabilities come from the prepared
-// cache (shared with PT-k and any other query at the same k), so only the
-// size-k selection runs per call. Identical answers to the one-shot forms.
-// Requires k >= 1.
+// probability order (ties by smaller id). The top-k probabilities come
+// from the prepared cache (shared with PT-k and any other query at the
+// same k), so only the size-k selection runs per call. Requires k >= 1.
 std::vector<int> AttrGlobalTopK(const PreparedAttrRelation& prepared, int k,
                                 TiePolicy ties = TiePolicy::kBreakByIndex);
 std::vector<int> TupleGlobalTopK(const PreparedTupleRelation& prepared,

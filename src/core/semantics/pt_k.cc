@@ -25,24 +25,6 @@ std::vector<int> Threshold(const std::vector<double>& probs,
 
 }  // namespace
 
-std::vector<int> AttrPTk(const AttrRelation& rel, int k, double threshold,
-                         TiePolicy ties) {
-  URANK_CHECK_MSG(threshold > 0.0 && threshold <= 1.0,
-                  "threshold must be in (0,1]");
-  std::vector<int> ids(static_cast<size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return Threshold(AttrTopKProbabilities(rel, k, ties), ids, threshold);
-}
-
-std::vector<int> TuplePTk(const TupleRelation& rel, int k, double threshold,
-                          TiePolicy ties) {
-  URANK_CHECK_MSG(threshold > 0.0 && threshold <= 1.0,
-                  "threshold must be in (0,1]");
-  std::vector<int> ids(static_cast<size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return Threshold(TupleTopKProbabilities(rel, k, ties), ids, threshold);
-}
-
 std::vector<int> AttrPTk(const PreparedAttrRelation& prepared, int k,
                          double threshold, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");

@@ -19,17 +19,10 @@ class PreparedAttrRelation;   // core/engine/prepared_relation.h
 class PreparedTupleRelation;  // core/engine/prepared_relation.h
 
 // Ids of all tuples with Pr[in top-k] >= threshold, ordered by descending
-// top-k probability (ties by smaller id). Requires k >= 1 and threshold in
-// (0, 1].
-std::vector<int> AttrPTk(const AttrRelation& rel, int k, double threshold,
-                         TiePolicy ties = TiePolicy::kBreakByIndex);
-std::vector<int> TuplePTk(const TupleRelation& rel, int k, double threshold,
-                          TiePolicy ties = TiePolicy::kBreakByIndex);
-
-// Prepared-state overloads: the top-k probabilities come from the prepared
-// cache (shared with Global-Topk and any other query at the same k), so
-// only the threshold selection runs per call. Identical answers to the
-// one-shot forms. Requires k >= 1 and threshold in (0, 1].
+// top-k probability (ties by smaller id). The top-k probabilities come
+// from the prepared cache (shared with Global-Topk and any other query at
+// the same k), so only the threshold selection runs per call. Requires
+// k >= 1 and threshold in (0, 1].
 std::vector<int> AttrPTk(const PreparedAttrRelation& prepared, int k,
                          double threshold,
                          TiePolicy ties = TiePolicy::kBreakByIndex);

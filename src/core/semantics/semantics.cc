@@ -5,56 +5,10 @@
 
 #include "core/engine/prepared_relation.h"
 #include "core/internal/vector_kernels.h"
-#include "core/rank_distribution_attr.h"
 #include "core/rank_distribution_tuple.h"
 #include "util/check.h"
 
 namespace urank {
-
-std::vector<double> AttrTopKProbabilities(const AttrRelation& rel, int k,
-                                          TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  std::vector<double> probs(static_cast<size_t>(rel.size()), 0.0);
-  // One DP per tuple against pdfs sorted once; the distribution and DP
-  // buffers are hoisted out of the loop and reused across tuples.
-  const std::vector<internal::SortedPdf> pdfs = BuildSortedPdfs(rel);
-  const vk::KernelOps& ops = vk::Active();
-  internal::AlignedBuf pmf_scratch;
-  std::vector<double> dist;
-  for (int i = 0; i < rel.size(); ++i) {
-    AttrRankDistributionInto(rel, pdfs, i, ties, &pmf_scratch, &dist);
-    const size_t hi =
-        std::min(static_cast<size_t>(k), dist.size());
-    const double cdf = ops.sum(dist.data(), hi);
-    URANK_DCHECK_PROB(cdf);
-    probs[static_cast<size_t>(i)] = std::min(cdf, 1.0);
-  }
-  return probs;
-}
-
-std::vector<double> TupleTopKProbabilities(const TupleRelation& rel, int k,
-                                           TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  const std::vector<std::vector<double>> pos =
-      TuplePositionalProbabilities(rel, ties);
-  std::vector<double> probs(static_cast<size_t>(rel.size()), 0.0);
-  const vk::KernelOps& ops = vk::Active();
-  for (int i = 0; i < rel.size(); ++i) {
-    const auto& row = pos[static_cast<size_t>(i)];
-    const size_t hi = std::min(static_cast<size_t>(k), row.size());
-    const double cdf = ops.sum(row.data(), hi);
-    URANK_DCHECK_PROB(cdf);
-    probs[static_cast<size_t>(i)] = std::min(cdf, 1.0);
-  }
-  return probs;
-}
-
-std::vector<double> AttrTopKProbabilities(
-    const PreparedAttrRelation& prepared, int k, TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return AttrTopKProbabilities(prepared, k, ties, ParallelismOptions{},
-                               nullptr);
-}
 
 std::vector<double> AttrTopKProbabilities(
     const PreparedAttrRelation& prepared, int k, TiePolicy ties,
@@ -74,13 +28,6 @@ std::vector<double> AttrTopKProbabilities(
     }
     return probs;
   });
-}
-
-std::vector<double> TupleTopKProbabilities(
-    const PreparedTupleRelation& prepared, int k, TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return TupleTopKProbabilities(prepared, k, ties, ParallelismOptions{},
-                                nullptr);
 }
 
 std::vector<double> TupleTopKProbabilities(

@@ -13,8 +13,6 @@
 
 #include <vector>
 
-#include "model/attr_model.h"
-#include "model/tuple_model.h"
 #include "model/types.h"
 #include "util/parallel.h"
 
@@ -24,37 +22,21 @@ class PreparedAttrRelation;   // core/engine/prepared_relation.h
 class PreparedTupleRelation;  // core/engine/prepared_relation.h
 
 // result[i] = Pr[t_i is in the top-k], indexed by tuple position.
-// Requires k >= 1. O(s N³) attribute-level, O(N M²) worst-case tuple-level
-// (the exact rank-distribution DPs).
-std::vector<double> AttrTopKProbabilities(
-    const AttrRelation& rel, int k,
-    TiePolicy ties = TiePolicy::kBreakByIndex);
-std::vector<double> TupleTopKProbabilities(
-    const TupleRelation& rel, int k,
-    TiePolicy ties = TiePolicy::kBreakByIndex);
-
-// Prepared-state overloads: the attribute-level form reads the shared
+// Requires k >= 1. The attribute-level form reads the shared
 // rank-distribution matrix (so every k shares one O(s N³) DP), the
 // tuple-level form streams positional rows over the prepared rank order in
-// O(N + M) memory; both memoize the probability vector per (k, ties).
-// Results are bit-identical to the one-shot forms. Requires k >= 1.
+// O(N + M) memory (O(N M²) worst-case time); both memoize the probability
+// vector per (k, ties). A cache miss runs the DP with `par` worker slots
+// (bit-identical results regardless) and Merge()s what the kernel did into
+// `report` when non-null; a cache hit leaves `report` untouched.
 std::vector<double> AttrTopKProbabilities(
     const PreparedAttrRelation& prepared, int k,
-    TiePolicy ties = TiePolicy::kBreakByIndex);
+    TiePolicy ties = TiePolicy::kBreakByIndex,
+    const ParallelismOptions& par = {}, KernelReport* report = nullptr);
 std::vector<double> TupleTopKProbabilities(
     const PreparedTupleRelation& prepared, int k,
-    TiePolicy ties = TiePolicy::kBreakByIndex);
-
-// Parallel-aware prepared forms: a cache miss runs the underlying DP with
-// `par` worker slots (bit-identical results regardless) and Merge()s what
-// the kernel did into `report` when non-null; a cache hit leaves `report`
-// untouched. Requires k >= 1.
-std::vector<double> AttrTopKProbabilities(
-    const PreparedAttrRelation& prepared, int k, TiePolicy ties,
-    const ParallelismOptions& par, KernelReport* report);
-std::vector<double> TupleTopKProbabilities(
-    const PreparedTupleRelation& prepared, int k, TiePolicy ties,
-    const ParallelismOptions& par, KernelReport* report);
+    TiePolicy ties = TiePolicy::kBreakByIndex,
+    const ParallelismOptions& par = {}, KernelReport* report = nullptr);
 
 }  // namespace urank
 

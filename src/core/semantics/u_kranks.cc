@@ -5,7 +5,6 @@
 
 #include "core/engine/prepared_relation.h"
 #include "core/internal/vector_kernels.h"
-#include "core/rank_distribution_attr.h"
 #include "core/rank_distribution_tuple.h"
 #include "core/semantics/score_sweep.h"
 #include "util/check.h"
@@ -47,30 +46,6 @@ std::vector<int> ToInt(const std::vector<double>& v) {
 
 }  // namespace
 
-std::vector<int> AttrUKRanks(const AttrRelation& rel, int k, TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  std::vector<std::vector<double>> rows = AttrRankDistributions(rel, ties);
-  std::vector<int> ids(static_cast<size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return WinnersPerRank(rows, ids, k);
-}
-
-std::vector<int> TupleUKRanks(const TupleRelation& rel, int k,
-                              TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  std::vector<std::vector<double>> rows =
-      TuplePositionalProbabilities(rel, ties);
-  std::vector<int> ids(static_cast<size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) ids[static_cast<size_t>(i)] = rel.tuple(i).id;
-  return WinnersPerRank(rows, ids, k);
-}
-
-std::vector<int> AttrUKRanks(const PreparedAttrRelation& prepared, int k,
-                             TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return AttrUKRanks(prepared, k, ties, ParallelismOptions{}, nullptr);
-}
-
 std::vector<int> AttrUKRanks(const PreparedAttrRelation& prepared, int k,
                              TiePolicy ties, const ParallelismOptions& par,
                              KernelReport* report) {
@@ -80,12 +55,6 @@ std::vector<int> AttrUKRanks(const PreparedAttrRelation& prepared, int k,
     const auto rows = prepared.RankDistributions(ties, par, report);
     return ToDouble(WinnersPerRank(*rows, prepared.ids(), k));
   }));
-}
-
-std::vector<int> TupleUKRanks(const PreparedTupleRelation& prepared, int k,
-                              TiePolicy ties) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return TupleUKRanks(prepared, k, ties, ParallelismOptions{}, nullptr);
 }
 
 std::vector<int> TupleUKRanks(const PreparedTupleRelation& prepared, int k,

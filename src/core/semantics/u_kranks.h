@@ -25,34 +25,23 @@ class PreparedTupleRelation;  // core/engine/prepared_relation.h
 // with ties broken by smaller id, or -1 when no tuple can occupy rank r.
 // Requires k >= 1. In the tuple-level model "at rank r" requires the tuple
 // to appear in the world (the original definition).
-std::vector<int> AttrUKRanks(const AttrRelation& rel, int k,
-                             TiePolicy ties = TiePolicy::kBreakByIndex);
-std::vector<int> TupleUKRanks(const TupleRelation& rel, int k,
-                              TiePolicy ties = TiePolicy::kBreakByIndex);
-
-// Prepared-state overloads: the attribute-level form reads the shared
-// rank-distribution matrix, the tuple-level form streams positional rows
-// over the prepared rank order; both memoize the winner list per
-// (k, ties). The winner rule (argmax with min-id tie-break) is visit-order
-// independent, so answers are identical to the one-shot forms. Requires
-// k >= 1.
+//
+// The attribute-level form reads the shared rank-distribution matrix, the
+// tuple-level form streams positional rows over the prepared rank order;
+// both memoize the winner list per (k, ties). A cache miss runs the DP
+// with `par` worker slots and Merge()s what the kernel did into `report`
+// when non-null; a cache hit leaves `report` untouched. The tuple-level
+// form keeps per-chunk (winner, best) partials and folds them in chunk
+// order; the argmax/min-id rule is merge-order independent, so answers
+// are identical for every thread count.
 std::vector<int> AttrUKRanks(const PreparedAttrRelation& prepared, int k,
-                             TiePolicy ties = TiePolicy::kBreakByIndex);
+                             TiePolicy ties = TiePolicy::kBreakByIndex,
+                             const ParallelismOptions& par = {},
+                             KernelReport* report = nullptr);
 std::vector<int> TupleUKRanks(const PreparedTupleRelation& prepared, int k,
-                              TiePolicy ties = TiePolicy::kBreakByIndex);
-
-// Parallel-aware prepared forms: a cache miss runs the underlying DP with
-// `par` worker slots and Merge()s what the kernel did into `report` when
-// non-null; a cache hit leaves `report` untouched. The tuple-level form
-// keeps per-chunk (winner, best) partials and folds them in chunk order;
-// the argmax/min-id rule is merge-order independent, so answers are
-// identical to the serial forms. Requires k >= 1.
-std::vector<int> AttrUKRanks(const PreparedAttrRelation& prepared, int k,
-                             TiePolicy ties, const ParallelismOptions& par,
-                             KernelReport* report);
-std::vector<int> TupleUKRanks(const PreparedTupleRelation& prepared, int k,
-                              TiePolicy ties, const ParallelismOptions& par,
-                              KernelReport* report);
+                              TiePolicy ties = TiePolicy::kBreakByIndex,
+                              const ParallelismOptions& par = {},
+                              KernelReport* report = nullptr);
 
 // Result of the early-terminating evaluation: the same answer as
 // TupleUKRanks plus the number of tuples the score-ordered scan retrieved.

@@ -352,12 +352,6 @@ UTopKAnswer TupleUTopKWithRules(const TupleRelation& rel, int k) {
   return TupleUTopKWithRulesInOrder(rel, UTopKRankOrder(rel), k);
 }
 
-UTopKAnswer TupleUTopK(const TupleRelation& rel, int k) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  if (AllSingletonRules(rel)) return TupleUTopKIndependent(rel, k);
-  return TupleUTopKWithRules(rel, k);
-}
-
 UTopKAnswer TupleUTopK(const PreparedTupleRelation& prepared, int k) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   const TupleRelation& rel = prepared.relation();
@@ -367,14 +361,9 @@ UTopKAnswer TupleUTopK(const PreparedTupleRelation& prepared, int k) {
   return TupleUTopKWithRulesInOrder(rel, prepared.rank_order(), k);
 }
 
-UTopKAnswer AttrUTopK(const AttrRelation& rel, int k) {
-  URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return BestOfSetMap(AttrTopKSetProbabilities(rel, k));
-}
-
 UTopKAnswer AttrUTopK(const PreparedAttrRelation& prepared, int k) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  return AttrUTopK(prepared.relation(), k);
+  return BestOfSetMap(AttrTopKSetProbabilities(prepared.relation(), k));
 }
 
 }  // namespace urank

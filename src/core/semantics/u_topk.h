@@ -37,11 +37,6 @@ struct UTopKAnswer {
   friend bool operator==(const UTopKAnswer&, const UTopKAnswer&) = default;
 };
 
-// Requires k >= 1. Ties between equal-probability answers are broken
-// towards the answer found first in score order (DP) / the
-// lexicographically smallest id list (enumeration).
-UTopKAnswer TupleUTopK(const TupleRelation& rel, int k);
-
 // Exact DP for independent tuples; aborts if any rule has more than one
 // member. Exposed separately for testing and benchmarking.
 UTopKAnswer TupleUTopKIndependent(const TupleRelation& rel, int k);
@@ -62,15 +57,16 @@ UTopKAnswer TupleUTopKIndependent(const TupleRelation& rel, int k);
 // thousands of factors cannot underflow. Requires k >= 1.
 UTopKAnswer TupleUTopKWithRules(const TupleRelation& rel, int k);
 
-// Possible-worlds enumeration; requires an enumerable world count.
-UTopKAnswer AttrUTopK(const AttrRelation& rel, int k);
-
-// Prepared-state overloads. The tuple-level form reuses the prepared rank
-// order, skipping the per-call sort (the DP itself is k-specific, so no
-// statistic is memoized); the attribute-level form forwards to the
-// enumeration (QueryEngine::Validate rejects non-enumerable world counts
-// before dispatching here). Identical answers to the one-shot forms.
-// Requires k >= 1.
+// The most likely top-k answer over prepared state. Requires k >= 1. The
+// tuple-level form runs TupleUTopKIndependent's DP when every rule is a
+// singleton and TupleUTopKWithRules otherwise, both over the prepared rank
+// order (no per-call sort; the DP itself is k-specific, so nothing is
+// memoized). The attribute-level form is possible-worlds enumeration and
+// requires an enumerable world count (QueryEngine::Run rejects larger
+// relations with kWorldCountNotEnumerable before dispatching here). Ties
+// between equal-probability answers are broken towards the answer found
+// first in score order (DP) / the lexicographically smallest id list
+// (enumeration).
 UTopKAnswer TupleUTopK(const PreparedTupleRelation& prepared, int k);
 UTopKAnswer AttrUTopK(const PreparedAttrRelation& prepared, int k);
 

@@ -21,9 +21,12 @@
 #include "gen/attr_gen.h"
 #include "gen/tuple_gen.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace urank {
 namespace {
+
+using testing_util::Prepared;
 
 class ConsistencyFuzz : public ::testing::TestWithParam<uint64_t> {
  protected:
@@ -50,7 +53,7 @@ class ConsistencyFuzz : public ::testing::TestWithParam<uint64_t> {
 TEST_P(ConsistencyFuzz, AttrExpectedRankEqualsDistributionMean) {
   const AttrRelation rel = MakeAttr(50);
   const std::vector<double> er =
-      AttrExpectedRanks(rel, TiePolicy::kBreakByIndex);
+      AttrExpectedRanks(Prepared(rel), TiePolicy::kBreakByIndex);
   const auto dists = AttrRankDistributions(rel, TiePolicy::kBreakByIndex);
   for (int i = 0; i < rel.size(); ++i) {
     double mean = 0.0;
@@ -63,7 +66,7 @@ TEST_P(ConsistencyFuzz, AttrExpectedRankEqualsDistributionMean) {
 TEST_P(ConsistencyFuzz, TupleExpectedRankEqualsDistributionMean) {
   const TupleRelation rel = MakeTuple(80);
   const std::vector<double> er =
-      TupleExpectedRanks(rel, TiePolicy::kBreakByIndex);
+      TupleExpectedRanks(Prepared(rel), TiePolicy::kBreakByIndex);
   const auto dists = TupleRankDistributions(rel, TiePolicy::kBreakByIndex);
   for (int i = 0; i < rel.size(); ++i) {
     double mean = 0.0;
@@ -78,7 +81,7 @@ TEST_P(ConsistencyFuzz, AttrTopKProbabilitiesSumToK) {
   // membership probabilities must sum to exactly k.
   const AttrRelation rel = MakeAttr(40);
   for (int k : {1, 7, 25}) {
-    const std::vector<double> probs = AttrTopKProbabilities(rel, k);
+    const std::vector<double> probs = AttrTopKProbabilities(Prepared(rel), k);
     const double sum = std::accumulate(probs.begin(), probs.end(), 0.0);
     EXPECT_NEAR(sum, std::min(k, rel.size()), 1e-7) << "k=" << k;
   }
@@ -88,7 +91,7 @@ TEST_P(ConsistencyFuzz, TupleTopKProbabilitiesSumToExpectedOccupancy) {
   // Σ_i Pr[t_i in top-k] = E[min(k, |W|)] <= min(k, E[|W|]).
   const TupleRelation rel = MakeTuple(60);
   for (int k : {1, 5, 20}) {
-    const std::vector<double> probs = TupleTopKProbabilities(rel, k);
+    const std::vector<double> probs = TupleTopKProbabilities(Prepared(rel), k);
     const double sum = std::accumulate(probs.begin(), probs.end(), 0.0);
     EXPECT_LE(sum, k + 1e-7);
     EXPECT_LE(sum, rel.ExpectedWorldSize() + 1e-7);
@@ -102,7 +105,7 @@ TEST_P(ConsistencyFuzz, PositionalRowsDecomposeTopKProbability) {
   const TupleRelation rel = MakeTuple(45);
   const auto pos = TuplePositionalProbabilities(rel);
   const int k = 9;
-  const std::vector<double> probs = TupleTopKProbabilities(rel, k);
+  const std::vector<double> probs = TupleTopKProbabilities(Prepared(rel), k);
   for (int i = 0; i < rel.size(); ++i) {
     double sum = 0.0;
     for (int r = 0; r < k; ++r) {
@@ -115,7 +118,7 @@ TEST_P(ConsistencyFuzz, PositionalRowsDecomposeTopKProbability) {
 TEST_P(ConsistencyFuzz, PruneAgreesWithExactOnTupleModel) {
   const TupleRelation rel = MakeTuple(500);
   for (int k : {1, 13, 60}) {
-    const auto exact = TupleExpectedRankTopK(rel, k);
+    const auto exact = TupleExpectedRankTopK(Prepared(rel), k);
     const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, k);
     ASSERT_EQ(pruned.topk.size(), exact.size());
     for (size_t i = 0; i < exact.size(); ++i) {
@@ -128,7 +131,7 @@ TEST_P(ConsistencyFuzz, QuantileSweepIsMonotoneEverywhere) {
   const TupleRelation rel = MakeTuple(70);
   std::vector<std::vector<int>> sweeps;
   for (double phi : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-    sweeps.push_back(TupleQuantileRanks(rel, phi));
+    sweeps.push_back(TupleQuantileRanks(Prepared(rel), phi));
   }
   for (size_t s = 1; s < sweeps.size(); ++s) {
     for (int i = 0; i < rel.size(); ++i) {
@@ -141,8 +144,8 @@ TEST_P(ConsistencyFuzz, QuantileSweepIsMonotoneEverywhere) {
 TEST_P(ConsistencyFuzz, PTkWithTinyThresholdReturnsEveryPossibleMember) {
   const TupleRelation rel = MakeTuple(30);
   const int k = 5;
-  const std::vector<int> answer = TuplePTk(rel, k, 1e-12);
-  const std::vector<double> probs = TupleTopKProbabilities(rel, k);
+  const std::vector<int> answer = TuplePTk(Prepared(rel), k, 1e-12);
+  const std::vector<double> probs = TupleTopKProbabilities(Prepared(rel), k);
   size_t possible = 0;
   for (double p : probs) {
     if (p >= 1e-12) ++possible;
@@ -155,8 +158,8 @@ TEST_P(ConsistencyFuzz, GlobalTopkIsPrefixOfPTkOrdering) {
   // Global-Topk must be the k-prefix of PT-k with a tiny threshold.
   const AttrRelation rel = MakeAttr(25);
   const int k = 6;
-  const std::vector<int> global = AttrGlobalTopK(rel, k);
-  const std::vector<int> ptk = AttrPTk(rel, k, 1e-12);
+  const std::vector<int> global = AttrGlobalTopK(Prepared(rel), k);
+  const std::vector<int> ptk = AttrPTk(Prepared(rel), k, 1e-12);
   ASSERT_GE(ptk.size(), global.size());
   for (size_t i = 0; i < global.size(); ++i) {
     EXPECT_EQ(global[i], ptk[i]);
@@ -183,7 +186,7 @@ TEST_P(ConsistencyFuzz, ExpectedRanksSumMatchesClosedForm) {
   // |W|; validate against a direct second-moment computation.
   const TupleRelation rel = MakeTuple(40);
   const std::vector<double> ranks =
-      TupleExpectedRanks(rel, TiePolicy::kBreakByIndex);
+      TupleExpectedRanks(Prepared(rel), TiePolicy::kBreakByIndex);
   const double total = std::accumulate(ranks.begin(), ranks.end(), 0.0);
   // E[|W|] and Var[|W|] from the per-rule occupancy Bernoullis.
   double mean = 0.0, var = 0.0;

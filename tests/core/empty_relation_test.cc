@@ -1,14 +1,11 @@
 // Empty relations end to end: zero-block builder Seal, every ranking
-// semantics answering an empty top-k through the engine and the facade,
-// and the mutable stores publishing empty epochs (including a relation
+// semantics answering an empty top-k through a shared engine and through
+// a fresh engine per query, and the mutable stores publishing empty
+// epochs (including a relation
 // mutated down to empty). The engine short-circuits n == 0 before kernel
 // dispatch; the kernel-level non-empty contracts stay as hard CHECKs,
 // death-tested at the bottom so a future regression to the old abort
 // behavior (or a silent contract removal) is caught either way.
-
-// Part of this suite exercises the deprecated one-shot facade on empty
-// relations, which is exactly the compatibility surface being fixed.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 #include <memory>
 #include <vector>
@@ -18,7 +15,6 @@
 #include "core/engine/prepared_builder.h"
 #include "core/engine/query_engine.h"
 #include "core/quantile_rank.h"
-#include "core/query.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
 
@@ -81,14 +77,19 @@ TEST(EmptyRelationTest, EngineAnswersAllSemanticsOnEmptyAttrRelation) {
 }
 
 TEST(EmptyRelationTest, FacadeAnswersEmptyTopK) {
-  RankingQueryOptions options;
-  options.k = 5;
+  // One-shot queries, the way the removed one-shot facade ran them:
+  // each query prepares its own engine, so no statistic memo is shared.
+  // Any k >= 1 is valid on an empty relation (the k <= N bound applies to
+  // non-empty relations only).
   for (RankingSemantics semantics : kAllSemantics) {
-    options.semantics = semantics;
-    EXPECT_TRUE(RunRankingQuery(TupleRelation(), options).ids.empty())
-        << ToString(semantics);
-    EXPECT_TRUE(RunRankingQuery(AttrRelation(), options).ids.empty())
-        << ToString(semantics);
+    QueryRequest request = Req(semantics);
+    request.options.k = 5;
+    const QueryResult tuple = QueryEngine(TupleRelation()).Run(request);
+    const QueryResult attr = QueryEngine(AttrRelation()).Run(request);
+    ASSERT_TRUE(tuple.status.ok()) << ToString(semantics);
+    ASSERT_TRUE(attr.status.ok()) << ToString(semantics);
+    EXPECT_TRUE(tuple.answer.ids.empty()) << ToString(semantics);
+    EXPECT_TRUE(attr.answer.ids.empty()) << ToString(semantics);
   }
 }
 
@@ -126,8 +127,8 @@ TEST(EmptyRelationTest, MutatedToEmptyStillAnswers) {
 
 TEST(EmptyRelationDeathTest, KernelLevelEmptyPmfContractStillAborts) {
   // The engine's early-out is the supported empty path; the low-level
-  // kernels keep their non-empty preconditions. This is the abort the
-  // facade used to hit before the engine handled n == 0.
+  // kernels keep their non-empty preconditions. This is the abort a
+  // one-shot query used to hit before the engine handled n == 0.
   EXPECT_DEATH(QuantileFromPmf(std::vector<double>{}, 0.5),
                "pmf must be non-empty");
 }

@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -43,11 +44,38 @@ int SoakIters() {
   return iters;
 }
 
+// Writers only ever delete ids they inserted themselves, so these base
+// tuples stay live in every epoch: each snapshot holds at least kBase
+// tuples and the readers' k (at most kBase) is always a valid top-k size
+// (k <= N; QueryEngine answers a larger k with kInvalidK).
+constexpr int kBase = 8;
+constexpr int kBaseIdOffset = 100000000;  // disjoint from writer ids
+
+TupleRelation BaseTupleRelation() {
+  std::vector<TLTuple> tuples;
+  for (int i = 0; i < kBase; ++i) {
+    tuples.push_back({kBaseIdOffset + i, 10.0 * i + 5.0, 0.5});
+  }
+  return TupleRelation::Independent(std::move(tuples));
+}
+
+AttrRelation BaseAttrRelation() {
+  std::vector<AttrTuple> tuples;
+  for (int i = 0; i < kBase; ++i) {
+    AttrTuple t;
+    t.id = kBaseIdOffset + i;
+    t.pdf = {{10.0 * i + 5.0, 0.5}, {10.0 * i + 205.0, 0.5}};
+    tuples.push_back(std::move(t));
+  }
+  return AttrRelation(std::move(tuples));
+}
+
 TEST(EpochSoakTest, TupleWritersVersusReaders) {
   MutableRelationOptions options;
   options.delta_merge_threshold = 16;  // exercise consolidation in-flight
   options.compact_min_dead = 16;
-  auto store = std::make_shared<MutableTupleRelation>(options);
+  auto store =
+      std::make_shared<MutableTupleRelation>(BaseTupleRelation(), options);
   auto engine = std::make_shared<QueryEngine>(store);
 
   const int iters = SoakIters();
@@ -182,7 +210,7 @@ TEST(EpochSoakTest, BatchResolvesOneEpochUnderConcurrentPublishes) {
 }
 
 TEST(EpochSoakTest, AttrWritersVersusReaders) {
-  auto store = std::make_shared<MutableAttrRelation>();
+  auto store = std::make_shared<MutableAttrRelation>(BaseAttrRelation());
   auto engine = std::make_shared<QueryEngine>(store);
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};

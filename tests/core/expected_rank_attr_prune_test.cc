@@ -12,6 +12,7 @@ namespace urank {
 namespace {
 
 using testing_util::PaperFig2;
+using testing_util::Prepared;
 using testing_util::RandomSmallAttr;
 
 TEST(AttrPruneTest, PaperFig2TopOne) {
@@ -28,7 +29,7 @@ TEST(AttrPruneTest, FullScanEqualsExactAnswer) {
   Rng rng(1);
   for (int trial = 0; trial < 10; ++trial) {
     AttrRelation rel = RandomSmallAttr(rng, 6, 3);
-    const auto exact = AttrExpectedRankTopK(rel, 3);
+    const auto exact = AttrExpectedRankTopK(Prepared(rel), 3);
     const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, 3);
     if (pruned.accessed == rel.size()) {
       ASSERT_EQ(pruned.topk.size(), exact.size());
@@ -67,7 +68,7 @@ TEST(AttrPruneTest, PrunesOnConcentratedScores) {
   const AttrPruneResult result = AttrExpectedRankTopKPrune(rel, 5);
   EXPECT_LT(result.accessed, rel.size());
   // The surrogate answer must match the exact top-5 here.
-  const auto exact = AttrExpectedRankTopK(rel, 5);
+  const auto exact = AttrExpectedRankTopK(Prepared(rel), 5);
   ASSERT_EQ(result.topk.size(), exact.size());
   for (size_t i = 0; i < exact.size(); ++i) {
     EXPECT_EQ(result.topk[i].id, exact[i].id);
@@ -81,7 +82,7 @@ TEST(AttrPruneTest, SurrogateQualityIsHighOnGeneratedData) {
   config.seed = 7;
   AttrRelation rel = GenerateAttrRelation(config);
   const int k = 10;
-  const auto exact = IdsOf(AttrExpectedRankTopK(rel, k));
+  const auto exact = IdsOf(AttrExpectedRankTopK(Prepared(rel), k));
   const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, k);
   EXPECT_GE(RecallAgainst(IdsOf(pruned.topk), exact), 0.8);
 }
@@ -109,7 +110,7 @@ TEST(AttrPruneClampedTest, NeverAccessesMoreThanFaithful) {
       EXPECT_LE(clamped.accessed, faithful.accessed)
           << "seed=" << seed << " k=" << k;
       // Both surrogates stay close to the exact answer.
-      const auto exact = IdsOf(AttrExpectedRankTopK(rel, k));
+      const auto exact = IdsOf(AttrExpectedRankTopK(Prepared(rel), k));
       EXPECT_GE(RecallAgainst(IdsOf(clamped.topk), exact), 0.6);
     }
   }
@@ -119,7 +120,7 @@ TEST(AttrPruneClampedTest, FullScanStillExact) {
   Rng rng(30);
   for (int trial = 0; trial < 10; ++trial) {
     AttrRelation rel = RandomSmallAttr(rng, 6, 3);
-    const auto exact = AttrExpectedRankTopK(rel, 3);
+    const auto exact = AttrExpectedRankTopK(Prepared(rel), 3);
     const AttrPruneResult pruned =
         AttrExpectedRankTopKPrune(rel, 3, /*clamp_tail_bounds=*/true);
     if (pruned.accessed == rel.size()) {
@@ -150,7 +151,7 @@ TEST_P(AttrPruneSweep, SurrogateContainsMostOfExactTopK) {
   config.seed = GetParam();
   AttrRelation rel = GenerateAttrRelation(config);
   for (int k : {1, 5, 15}) {
-    const auto exact = IdsOf(AttrExpectedRankTopK(rel, k));
+    const auto exact = IdsOf(AttrExpectedRankTopK(Prepared(rel), k));
     const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, k);
     EXPECT_EQ(pruned.topk.size(), exact.size());
     EXPECT_GE(RecallAgainst(IdsOf(pruned.topk), exact), 0.6)

@@ -13,22 +13,23 @@ namespace {
 
 using testing_util::ExpectNearVectors;
 using testing_util::PaperFig2;
+using testing_util::Prepared;
 using testing_util::RandomSmallAttr;
 
 TEST(AttrExpectedRanksTest, PaperFig2Values) {
   // Paper Section 4.3: r(t1) = 1.2, r(t2) = 0.8, r(t3) = 1.0.
-  const std::vector<double> ranks = AttrExpectedRanks(PaperFig2());
+  const std::vector<double> ranks = AttrExpectedRanks(Prepared(PaperFig2()));
   ExpectNearVectors(ranks, {1.2, 0.8, 1.0}, 1e-12);
 }
 
 TEST(AttrExpectedRanksTest, PaperFig2TopK) {
   // Final ranking (t2, t3, t1).
-  const auto top3 = AttrExpectedRankTopK(PaperFig2(), 3);
+  const auto top3 = AttrExpectedRankTopK(Prepared(PaperFig2()), 3);
   ASSERT_EQ(top3.size(), 3u);
   EXPECT_EQ(top3[0].id, 2);
   EXPECT_EQ(top3[1].id, 3);
   EXPECT_EQ(top3[2].id, 1);
-  const auto top1 = AttrExpectedRankTopK(PaperFig2(), 1);
+  const auto top1 = AttrExpectedRankTopK(Prepared(PaperFig2()), 1);
   ASSERT_EQ(top1.size(), 1u);
   EXPECT_EQ(top1[0].id, 2);
 }
@@ -45,16 +46,16 @@ TEST(AttrExpectedRanksTest, CertainDataReducesToSortOrder) {
       {1, {{90.0, 1.0}}},
       {2, {{70.0, 1.0}}},
   });
-  ExpectNearVectors(AttrExpectedRanks(rel), {2.0, 0.0, 1.0}, 1e-12);
+  ExpectNearVectors(AttrExpectedRanks(Prepared(rel)), {2.0, 0.0, 1.0}, 1e-12);
 }
 
 TEST(AttrExpectedRanksTest, SingleTupleHasRankZero) {
   AttrRelation rel({{7, {{3.0, 0.5}, {9.0, 0.5}}}});
-  ExpectNearVectors(AttrExpectedRanks(rel), {0.0}, 1e-12);
+  ExpectNearVectors(AttrExpectedRanks(Prepared(rel)), {0.0}, 1e-12);
 }
 
 TEST(AttrExpectedRanksTest, EmptyRelation) {
-  EXPECT_TRUE(AttrExpectedRanks(AttrRelation()).empty());
+  EXPECT_TRUE(AttrExpectedRanks(Prepared(AttrRelation())).empty());
 }
 
 TEST(AttrExpectedRanksTest, IdenticalTuplesTieUnderStrictPolicy) {
@@ -64,11 +65,11 @@ TEST(AttrExpectedRanksTest, IdenticalTuplesTieUnderStrictPolicy) {
       {0, {{1.0, 0.5}, {2.0, 0.5}}},
       {1, {{1.0, 0.5}, {2.0, 0.5}}},
   });
-  ExpectNearVectors(AttrExpectedRanks(rel, TiePolicy::kStrictGreater),
+  ExpectNearVectors(AttrExpectedRanks(Prepared(rel), TiePolicy::kStrictGreater),
                     {0.25, 0.25}, 1e-12);
   // By-index: ties go to the earlier tuple, so t0 gains nothing and t1
   // additionally loses the 0.5 tie mass.
-  ExpectNearVectors(AttrExpectedRanks(rel, TiePolicy::kBreakByIndex),
+  ExpectNearVectors(AttrExpectedRanks(Prepared(rel), TiePolicy::kBreakByIndex),
                     {0.25, 0.75}, 1e-12);
 }
 
@@ -88,7 +89,7 @@ TEST_P(AttrExpectedRankCrossCheck, FastEqualsBruteForceEqualsEnumeration) {
     AttrRelation rel = RandomSmallAttr(rng, param.n, param.max_s);
     for (TiePolicy ties :
          {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
-      const std::vector<double> fast = AttrExpectedRanks(rel, ties);
+      const std::vector<double> fast = AttrExpectedRanks(Prepared(rel), ties);
       const std::vector<double> brute = AttrExpectedRanksBruteForce(rel, ties);
       const std::vector<double> worlds =
           AttrExpectedRanksByEnumeration(rel, ties);
@@ -110,28 +111,29 @@ TEST(AttrExpectedRanksTest, SumOfRanksIsInvariant) {
   Rng rng(20);
   AttrRelation rel = RandomSmallAttr(rng, 7, 3);
   const std::vector<double> ranks =
-      AttrExpectedRanks(rel, TiePolicy::kBreakByIndex);
+      AttrExpectedRanks(Prepared(rel), TiePolicy::kBreakByIndex);
   double sum = 0.0;
   for (double r : ranks) sum += r;
   EXPECT_NEAR(sum, 7.0 * 6.0 / 2.0, 1e-9);
 }
 
 TEST(AttrExpectedRankTopKTest, KLargerThanNReturnsAll) {
-  const auto all = AttrExpectedRankTopK(PaperFig2(), 10);
+  const auto all = AttrExpectedRankTopK(Prepared(PaperFig2()), 10);
   EXPECT_EQ(all.size(), 3u);
 }
 
 TEST(AttrExpectedRankTopKTest, StatisticsAreSorted) {
   Rng rng(21);
   AttrRelation rel = RandomSmallAttr(rng, 8, 3);
-  const auto topk = AttrExpectedRankTopK(rel, 5);
+  const auto topk = AttrExpectedRankTopK(Prepared(rel), 5);
   for (size_t i = 1; i < topk.size(); ++i) {
     EXPECT_LE(topk[i - 1].statistic, topk[i].statistic);
   }
 }
 
 TEST(AttrExpectedRankTopKDeathTest, RejectsNonPositiveK) {
-  EXPECT_DEATH(AttrExpectedRankTopK(PaperFig2(), 0), "k must be >= 1");
+  EXPECT_DEATH(AttrExpectedRankTopK(Prepared(PaperFig2()), 0),
+               "k must be >= 1");
 }
 
 }  // namespace

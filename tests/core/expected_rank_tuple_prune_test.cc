@@ -11,6 +11,7 @@ namespace urank {
 namespace {
 
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 using testing_util::RandomSmallTuple;
 
 void ExpectSameAnswer(const std::vector<RankedTuple>& a,
@@ -24,7 +25,7 @@ void ExpectSameAnswer(const std::vector<RankedTuple>& a,
 
 TEST(TuplePruneTest, PaperFig4AllK) {
   for (int k = 1; k <= 4; ++k) {
-    const auto exact = TupleExpectedRankTopK(PaperFig4(), k);
+    const auto exact = TupleExpectedRankTopK(Prepared(PaperFig4()), k);
     const TuplePruneResult pruned = TupleExpectedRankTopKPrune(PaperFig4(), k);
     ExpectSameAnswer(pruned.topk, exact);
   }
@@ -38,7 +39,7 @@ TEST(TuplePruneTest, AlwaysMatchesExactTopK) {
     for (int k : {1, 3, 7}) {
       for (TiePolicy ties :
            {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
-        const auto exact = TupleExpectedRankTopK(rel, k, ties);
+        const auto exact = TupleExpectedRankTopK(Prepared(rel), k, ties);
         const TuplePruneResult pruned =
             TupleExpectedRankTopKPrune(rel, k, ties);
         ExpectSameAnswer(pruned.topk, exact);
@@ -62,7 +63,7 @@ TEST(TuplePruneTest, PrunesWithHighProbabilities) {
   const int k = 10;
   const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, k);
   EXPECT_LT(pruned.accessed, rel.size() / 4);
-  const auto exact = TupleExpectedRankTopK(rel, k);
+  const auto exact = TupleExpectedRankTopK(Prepared(rel), k);
   ExpectSameAnswer(pruned.topk, exact);
 }
 
@@ -91,7 +92,7 @@ TEST(TuplePruneTest, CorrectWithExclusionRulesOnGeneratedData) {
   config.seed = 7;
   TupleRelation rel = GenerateTupleRelation(config);
   for (int k : {1, 10, 50}) {
-    const auto exact = TupleExpectedRankTopK(rel, k);
+    const auto exact = TupleExpectedRankTopK(Prepared(rel), k);
     const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, k);
     ExpectSameAnswer(pruned.topk, exact);
   }
@@ -103,7 +104,8 @@ TEST(TuplePruneTest, TiedScoresStaySound) {
   std::vector<TLTuple> tuples;
   for (int i = 0; i < 20; ++i) tuples.push_back({i, 5.0, 0.9});
   TupleRelation rel = TupleRelation::Independent(std::move(tuples));
-  const auto exact = TupleExpectedRankTopK(rel, 3, TiePolicy::kStrictGreater);
+  const auto exact =
+      TupleExpectedRankTopK(Prepared(rel), 3, TiePolicy::kStrictGreater);
   const TuplePruneResult pruned =
       TupleExpectedRankTopKPrune(rel, 3, TiePolicy::kStrictGreater);
   EXPECT_EQ(pruned.accessed, rel.size());

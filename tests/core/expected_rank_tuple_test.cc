@@ -12,17 +12,19 @@ namespace {
 
 using testing_util::ExpectNearVectors;
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 using testing_util::RandomSmallTuple;
 
 TEST(TupleExpectedRanksTest, PaperFig4Values) {
   // Paper Section 4.3: r(t1)=1.2, r(t2)=1.4, r(t3)=0.9, r(t4)=1.9.
-  ExpectNearVectors(TupleExpectedRanks(PaperFig4()), {1.2, 1.4, 0.9, 1.9},
+  ExpectNearVectors(TupleExpectedRanks(Prepared(PaperFig4())),
+                    {1.2, 1.4, 0.9, 1.9},
                     1e-12);
 }
 
 TEST(TupleExpectedRanksTest, PaperFig4TopK) {
   // Final ranking (t3, t1, t2, t4).
-  const auto top4 = TupleExpectedRankTopK(PaperFig4(), 4);
+  const auto top4 = TupleExpectedRankTopK(Prepared(PaperFig4()), 4);
   ASSERT_EQ(top4.size(), 4u);
   EXPECT_EQ(top4[0].id, 3);
   EXPECT_EQ(top4[1].id, 1);
@@ -38,19 +40,19 @@ TEST(TupleExpectedRanksTest, BruteForceMatchesPaper) {
 TEST(TupleExpectedRanksTest, CertainTuplesReduceToSortOrder) {
   TupleRelation rel = TupleRelation::Independent(
       {{0, 10.0, 1.0}, {1, 30.0, 1.0}, {2, 20.0, 1.0}});
-  ExpectNearVectors(TupleExpectedRanks(rel), {2.0, 0.0, 1.0}, 1e-12);
+  ExpectNearVectors(TupleExpectedRanks(Prepared(rel)), {2.0, 0.0, 1.0}, 1e-12);
 }
 
 TEST(TupleExpectedRanksTest, AbsentTupleRanksAtWorldSize) {
   // One tuple with p = 0.5: when present rank 0, when absent rank |W| = 0.
   TupleRelation rel = TupleRelation::Independent({{0, 10.0, 0.5}});
-  ExpectNearVectors(TupleExpectedRanks(rel), {0.0}, 1e-12);
+  ExpectNearVectors(TupleExpectedRanks(Prepared(rel)), {0.0}, 1e-12);
   // Two independent tuples.
   TupleRelation rel2 = TupleRelation::Independent(
       {{0, 20.0, 0.5}, {1, 10.0, 0.5}});
   // t0: present (.5): rank 0; absent: rank = E[|W| \ t0] = 0.5.
   // t1: present (.5): rank = Pr[t0 appears] = .5; absent: 0.5.
-  ExpectNearVectors(TupleExpectedRanks(rel2), {0.25, 0.5}, 1e-12);
+  ExpectNearVectors(TupleExpectedRanks(Prepared(rel2)), {0.25, 0.5}, 1e-12);
 }
 
 TEST(TupleExpectedRanksTest, ExclusionRuleChangesRanks) {
@@ -60,24 +62,29 @@ TEST(TupleExpectedRanksTest, ExclusionRuleChangesRanks) {
   TupleRelation rel({{0, 20.0, 0.5}, {1, 10.0, 0.5}}, {{0, 1}});
   // t0: present .5 -> 0; absent .5 -> E[|W| | t0 absent] = p(t1)/(1-p(t0)) = 1.
   // t1: present .5 -> 0; absent .5 -> 1.
-  ExpectNearVectors(TupleExpectedRanks(rel), {0.5, 0.5}, 1e-12);
+  ExpectNearVectors(TupleExpectedRanks(Prepared(rel)), {0.5, 0.5}, 1e-12);
 }
 
 TEST(TupleExpectedRanksTest, EmptyRelation) {
-  EXPECT_TRUE(TupleExpectedRanks(TupleRelation::Independent({})).empty());
+  EXPECT_TRUE(
+      TupleExpectedRanks(Prepared(TupleRelation::Independent({}))).empty());
 }
 
 TEST(TupleExpectedRanksTest, TiesUnderBothPolicies) {
   TupleRelation rel = TupleRelation::Independent(
       {{0, 10.0, 1.0}, {1, 10.0, 1.0}});
-  ExpectNearVectors(TupleExpectedRanks(rel, TiePolicy::kStrictGreater),
+  const PreparedTupleRelation prepared = Prepared(rel);
+  ExpectNearVectors(TupleExpectedRanks(prepared, TiePolicy::kStrictGreater),
                     {0.0, 0.0}, 1e-12);
-  ExpectNearVectors(TupleExpectedRanks(rel, TiePolicy::kBreakByIndex),
+  ExpectNearVectors(TupleExpectedRanks(prepared, TiePolicy::kBreakByIndex),
                     {0.0, 1.0}, 1e-12);
 }
 
+// `n` is 64 bits wide so the struct has no padding: GoogleTest prints the
+// parameter's raw bytes into the test name, and uninitialised padding would
+// make that name differ from run to run.
 struct TupleCrossParam {
-  int n;
+  int64_t n;
   uint64_t seed;
 };
 
@@ -88,10 +95,10 @@ TEST_P(TupleExpectedRankCrossCheck, FastEqualsBruteForceEqualsEnumeration) {
   const TupleCrossParam param = GetParam();
   Rng rng(param.seed);
   for (int trial = 0; trial < 8; ++trial) {
-    TupleRelation rel = RandomSmallTuple(rng, param.n);
+    TupleRelation rel = RandomSmallTuple(rng, static_cast<int>(param.n));
     for (TiePolicy ties :
          {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
-      const std::vector<double> fast = TupleExpectedRanks(rel, ties);
+      const std::vector<double> fast = TupleExpectedRanks(Prepared(rel), ties);
       const std::vector<double> brute =
           TupleExpectedRanksBruteForce(rel, ties);
       const std::vector<double> worlds =
@@ -109,7 +116,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TupleCrossParam{8, 35}, TupleCrossParam{10, 36}));
 
 TEST(TupleExpectedRankTopKDeathTest, RejectsNonPositiveK) {
-  EXPECT_DEATH(TupleExpectedRankTopK(PaperFig4(), 0), "k must be >= 1");
+  EXPECT_DEATH(TupleExpectedRankTopK(Prepared(PaperFig4()), 0),
+               "k must be >= 1");
 }
 
 }  // namespace

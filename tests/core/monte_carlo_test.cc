@@ -15,6 +15,7 @@ namespace {
 
 using testing_util::PaperFig2;
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 using testing_util::RandomSmallAttr;
 using testing_util::RandomSmallTuple;
 
@@ -66,7 +67,7 @@ TEST(MonteCarloExpectedRanksTest, ConvergesToExactAttr) {
   Rng rng(4);
   const std::vector<double> estimate =
       AttrExpectedRanksMonteCarlo(rel, kSamples, rng);
-  const std::vector<double> exact = AttrExpectedRanks(rel);
+  const std::vector<double> exact = AttrExpectedRanks(Prepared(rel));
   for (size_t i = 0; i < exact.size(); ++i) {
     EXPECT_NEAR(estimate[i], exact[i], 0.05) << "tuple " << i;
   }
@@ -77,7 +78,7 @@ TEST(MonteCarloExpectedRanksTest, ConvergesToExactTuple) {
   Rng rng(5);
   const std::vector<double> estimate =
       TupleExpectedRanksMonteCarlo(rel, kSamples, rng);
-  const std::vector<double> exact = TupleExpectedRanks(rel);
+  const std::vector<double> exact = TupleExpectedRanks(Prepared(rel));
   for (size_t i = 0; i < exact.size(); ++i) {
     EXPECT_NEAR(estimate[i], exact[i], 0.05) << "tuple " << i;
   }
@@ -111,14 +112,14 @@ TEST(MonteCarloTopKProbabilitiesTest, ConvergeToExact) {
   for (int k : {1, 3}) {
     const auto est =
         TupleTopKProbabilitiesMonteCarlo(trel, k, kSamples, rng);
-    const auto exact = TupleTopKProbabilities(trel, k);
+    const auto exact = TupleTopKProbabilities(Prepared(trel), k);
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_NEAR(est[i], exact[i], kTol) << "k=" << k << " tuple " << i;
     }
   }
   const AttrRelation arel = RandomSmallAttr(data_rng, 5, 3);
   const auto est = AttrTopKProbabilitiesMonteCarlo(arel, 2, kSamples, rng);
-  const auto exact = AttrTopKProbabilities(arel, 2);
+  const auto exact = AttrTopKProbabilities(Prepared(arel), 2);
   for (size_t i = 0; i < exact.size(); ++i) {
     EXPECT_NEAR(est[i], exact[i], kTol);
   }
@@ -133,7 +134,7 @@ TEST(MonteCarloTest, DeterministicGivenSeed) {
 
 TEST(MonteCarloTest, MoreSamplesReduceError) {
   const TupleRelation rel = PaperFig4();
-  const std::vector<double> exact = TupleExpectedRanks(rel);
+  const std::vector<double> exact = TupleExpectedRanks(Prepared(rel));
   auto max_error = [&](int samples, uint64_t seed) {
     Rng rng(seed);
     const std::vector<double> est =

@@ -1,7 +1,8 @@
 // Bit-identity of the parallel DP kernels: every parallel-capable entry
 // point must return *exactly* the same bytes for any ParallelismOptions —
 // threads 1, 2, 8 (oversubscribed or not), any min_parallel_items — and
-// must match the serial facade. The chunk grid is a pure function of the
+// must match a one-thread serial sweep of the kernel-level reference
+// forms. The chunk grid is a pure function of the
 // relation, per-chunk subproblems are self-contained, and reductions fold
 // in chunk index order, so these comparisons use EXPECT_EQ on doubles, not
 // tolerances. This file runs under TSan in CI to also certify the chunk
@@ -133,7 +134,7 @@ TEST_P(TupleKernelDeterminismTest, RankDistributionsBitIdentical) {
   ASSERT_GE(TupleSweepChunkCount(rel_), 2);
   const auto prepared = QueryEngine::Prepare(rel_);
 
-  // Serial facade baseline (one-shot entry, no prepared state).
+  // Serial baseline (kernel-level raw form, no prepared state).
   std::vector<std::uint64_t> baseline(static_cast<size_t>(kN), 0);
   ForEachTupleRankDistribution(
       rel_, ties, [&](int i, std::span<const double> dist) {
@@ -213,15 +214,27 @@ TEST_P(TupleKernelDeterminismTest, PreparedSemanticsBitIdentical) {
   }
 }
 
+// The serial T-ERank sweep: a single-shard plan (zero entry state, one
+// prefix sum over the whole rank order) run on one thread.
+std::vector<double> SerialExpectedRanks(const TupleRelation& rel,
+                                        const std::vector<int>& rank_order,
+                                        TiePolicy ties) {
+  const internal::TupleShardPlan single = internal::BuildTupleShardPlan(
+      rel, rank_order, /*first_touch=*/false, /*max_shards=*/1);
+  EXPECT_EQ(single.shards.size(), 1u);
+  return TupleExpectedRanksSharded(rel, single, ties, ParallelismOptions{});
+}
+
 // The tentpole sweep: the sharded T-ERank must be bit-identical to the
-// serial facade for every (synthetic topology × placement policy × thread
+// serial sweep for every (synthetic topology × placement policy × thread
 // count × shard count). The shard plan is rebuilt under each topology —
 // home nodes move around — and EXPECT_EQ on the double vectors asserts
 // that none of it reaches the values.
 TEST_P(TupleKernelDeterminismTest, ShardedExpectedRanksBitIdentical) {
   const TiePolicy ties = GetParam();
-  const std::vector<double> baseline = TupleExpectedRanks(rel_, ties);
   const auto prepared = QueryEngine::Prepare(rel_);
+  const std::vector<double> baseline =
+      SerialExpectedRanks(rel_, prepared->rank_order(), ties);
 
   for (const char* spec : kSyntheticTopologies) {
     ScopedPlanningTopology topo(spec);
@@ -246,9 +259,15 @@ TEST_P(TupleKernelDeterminismTest, ShardedExpectedRanksBitIdentical) {
   }
 }
 
+// The prepared relation's default (multi-shard) plan against the serial
+// single-shard sweep, statistic and top-k selection both.
 TEST_P(TupleKernelDeterminismTest, PreparedShardPlanMatchesSerialFacade) {
   const TiePolicy ties = GetParam();
-  const std::vector<double> baseline = TupleExpectedRanks(rel_, ties);
+  const auto reference = QueryEngine::Prepare(rel_);
+  const std::vector<double> baseline =
+      SerialExpectedRanks(rel_, reference->rank_order(), ties);
+  const std::vector<RankedTuple> serial_topk =
+      TopKByStatistic(reference->ids(), baseline, 25);
   // Fresh prepared state per placement: a shared object would serve later
   // runs from the memo cache and make the comparison vacuous.
   for (PlacementPolicy placement : kAllPlacements) {
@@ -261,8 +280,6 @@ TEST_P(TupleKernelDeterminismTest, PreparedShardPlanMatchesSerialFacade) {
     // serial selection, ids and values both.
     const std::vector<RankedTuple> topk =
         TupleExpectedRankTopK(*prepared, 25, ties, Par(8, placement));
-    const std::vector<RankedTuple> serial_topk =
-        TupleExpectedRankTopK(rel_, 25, ties);
     ASSERT_EQ(topk.size(), serial_topk.size());
     for (size_t i = 0; i < topk.size(); ++i) {
       EXPECT_EQ(topk[i].id, serial_topk[i].id) << ToString(placement);
@@ -302,10 +319,16 @@ TEST(GeneratedTupleRelationDeterminismTest, QuantileRanksBitIdentical) {
   const TupleRelation rel = GenerateTupleRelation(cfg);
   ASSERT_GE(TupleSweepChunkCount(rel), 2);
 
-  // The serial facade is the baseline; it runs the same grid with one
-  // worker, so the threads = 1 case is covered without a third sweep.
-  const std::vector<int> baseline =
-      TupleQuantileRanks(rel, 0.5, TiePolicy::kBreakByIndex);
+  // The baseline is the kernel-level raw sweep (its own sort, no entry
+  // table): it runs the same grid with one worker, so the threads = 1 case
+  // is covered without a third sweep, and the prepared path's memoized
+  // entry-table state is what the comparison checks.
+  std::vector<int> baseline(static_cast<size_t>(rel.size()), 0);
+  ForEachTupleRankDistribution(
+      rel, TiePolicy::kBreakByIndex,
+      [&](int i, std::span<const double> dist) {
+        baseline[static_cast<size_t>(i)] = QuantileFromPmf(dist, 0.5);
+      });
   const auto prepared = QueryEngine::Prepare(rel);
   KernelReport report;
   EXPECT_EQ(TupleQuantileRanks(*prepared, 0.5, TiePolicy::kBreakByIndex,
@@ -345,7 +368,17 @@ TEST_P(AttrKernelDeterminismTest, RankDistributionsBitIdentical) {
 TEST_P(AttrKernelDeterminismTest, ShardedExpectedRanksBitIdentical) {
   const TiePolicy ties = GetParam();
   const AttrRelation rel = MakeRelation();
-  const std::vector<double> baseline = AttrExpectedRanks(rel, ties);
+  // One-thread baseline over fresh prepared state, itself checked against
+  // the independent O(N² s) pairwise evaluation of eq. (3).
+  const std::vector<double> baseline =
+      AttrExpectedRanks(*QueryEngine::Prepare(rel), ties);
+  const std::vector<double> brute = AttrExpectedRanksBruteForce(rel, ties);
+  ASSERT_EQ(baseline.size(), brute.size());
+  for (size_t i = 0; i < brute.size(); ++i) {
+    EXPECT_NEAR(baseline[i], brute[i], 1e-9) << "tuple " << i;
+  }
+  const std::vector<RankedTuple> baseline_topk =
+      AttrExpectedRankTopK(*QueryEngine::Prepare(rel), 15, ties);
 
   for (const char* spec : kSyntheticTopologies) {
     ScopedPlanningTopology topo(spec);
@@ -361,7 +394,7 @@ TEST_P(AttrKernelDeterminismTest, ShardedExpectedRanksBitIdentical) {
             << " threads=" << threads;
         EXPECT_EQ(
             AttrExpectedRankTopK(*prepared, 15, ties, Par(threads, placement)),
-            AttrExpectedRankTopK(rel, 15, ties))
+            baseline_topk)
             << "topology=" << spec << " placement=" << ToString(placement);
       }
     }
@@ -396,20 +429,20 @@ TEST_P(AttrKernelDeterminismTest, PreparedSemanticsBitIdentical) {
 // serial, so thread-count independence is trivially exercised by
 // query_engine_test) and on attribute relations of this size its world
 // count is not enumerable.
-std::vector<RankingQuery> EngineQueryMix() {
-  std::vector<RankingQuery> queries;
+std::vector<QueryRequest> EngineQueryMix() {
+  std::vector<QueryRequest> queries;
   for (RankingSemantics s :
        {RankingSemantics::kExpectedRank, RankingSemantics::kMedianRank,
         RankingSemantics::kQuantileRank, RankingSemantics::kUKRanks,
         RankingSemantics::kPTk, RankingSemantics::kGlobalTopk,
         RankingSemantics::kExpectedScore}) {
-    RankingQuery q;
-    q.semantics = s;
-    q.k = 20;
-    q.phi = 0.3;
-    q.threshold = 0.4;
+    QueryRequest q;
+    q.options.semantics = s;
+    q.options.k = 20;
+    q.options.phi = 0.3;
+    q.options.threshold = 0.4;
     queries.push_back(q);
-    q.ties = TiePolicy::kStrictGreater;
+    q.options.ties = TiePolicy::kStrictGreater;
     queries.push_back(q);
   }
   return queries;
@@ -424,18 +457,19 @@ void ExpectSameResult(const QueryResult& got, const QueryResult& want,
 
 TEST(EngineDeterminismTest, TupleAnswersBitIdenticalAcrossThreadCounts) {
   const TupleRelation rel = MakeClusteredTupleRelation(33000, 64, 200);
-  const std::vector<RankingQuery> queries = EngineQueryMix();
+  const std::vector<QueryRequest> queries = EngineQueryMix();
 
   QueryEngine baseline(rel);
   std::vector<QueryResult> base;
-  for (const RankingQuery& q : queries) base.push_back(baseline.Run(q));
+  for (const QueryRequest& q : queries) base.push_back(baseline.Run(q));
 
   for (int threads : {2, 8}) {
-    QueryEngine engine(rel);  // fresh prepared state — no cache crossover
-    engine.set_parallelism(Par(threads));
+    const QueryEngine engine(rel);  // fresh prepared state: no cache reuse
     for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectSameResult(engine.Run(queries[i]), base[i],
-                       ToString(queries[i].semantics));
+      QueryRequest request = queries[i];
+      request.parallelism = Par(threads);
+      ExpectSameResult(engine.Run(request), base[i],
+                       ToString(request.options.semantics));
     }
   }
 }
@@ -445,39 +479,39 @@ TEST(EngineDeterminismTest, AttrAnswersBitIdenticalAcrossThreadCounts) {
   cfg.num_tuples = 160;
   cfg.seed = 3;
   const AttrRelation rel = GenerateAttrRelation(cfg);
-  const std::vector<RankingQuery> queries = EngineQueryMix();
+  const std::vector<QueryRequest> queries = EngineQueryMix();
 
   QueryEngine baseline(rel);
   std::vector<QueryResult> base;
-  for (const RankingQuery& q : queries) base.push_back(baseline.Run(q));
+  for (const QueryRequest& q : queries) base.push_back(baseline.Run(q));
 
   for (int threads : {2, 8}) {
-    QueryEngine engine(rel);
-    engine.set_parallelism(Par(threads));
+    const QueryEngine engine(rel);
     for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectSameResult(engine.Run(queries[i]), base[i],
-                       ToString(queries[i].semantics));
+      QueryRequest request = queries[i];
+      request.parallelism = Par(threads);
+      ExpectSameResult(engine.Run(request), base[i],
+                       ToString(request.options.semantics));
     }
   }
 }
 
 TEST(EngineDeterminismTest, AnswersBitIdenticalAcrossPlacementPolicies) {
   const TupleRelation rel = MakeClusteredTupleRelation(33000, 64, 200);
-  const std::vector<RankingQuery> queries = EngineQueryMix();
+  const std::vector<QueryRequest> queries = EngineQueryMix();
 
   QueryEngine baseline(rel);
   std::vector<QueryResult> base;
-  for (const RankingQuery& q : queries) base.push_back(baseline.Run(q));
+  for (const QueryRequest& q : queries) base.push_back(baseline.Run(q));
 
   ScopedPlanningTopology topo("0-3;4-7");
   for (PlacementPolicy placement : kAllPlacements) {
     const QueryEngine engine(rel);  // fresh prepared state per placement
     for (size_t i = 0; i < queries.size(); ++i) {
-      QueryRequest request;
-      request.options = queries[i];
+      QueryRequest request = queries[i];
       request.parallelism = Par(8, placement);
       ExpectSameResult(engine.Run(request), base[i],
-                       ToString(queries[i].semantics));
+                       ToString(request.options.semantics));
     }
   }
 }
@@ -511,30 +545,33 @@ TEST(EngineDeterminismTest, NodeLocalPlacementClampsAndReportsThreads) {
 
 TEST(EngineDeterminismTest, RunBatchComposesWithIntraQueryParallelism) {
   const TupleRelation rel = MakeClusteredTupleRelation(33000, 64, 200);
-  const std::vector<RankingQuery> queries = EngineQueryMix();
+  const std::vector<QueryRequest> queries = EngineQueryMix();
 
   QueryEngine baseline(rel);
   std::vector<QueryResult> base;
-  for (const RankingQuery& q : queries) base.push_back(baseline.Run(q));
+  for (const QueryRequest& q : queries) base.push_back(baseline.Run(q));
 
-  QueryEngine engine(rel);
-  engine.set_parallelism(Par(4));  // intra-query chunks + inter-query batch
-  const std::vector<QueryResult> got = engine.RunBatch(queries, 4);
+  // Intra-query chunks inside an inter-query batch.
+  std::vector<QueryRequest> parallel = queries;
+  for (QueryRequest& request : parallel) request.parallelism = Par(4);
+  const QueryEngine engine(rel);
+  const std::vector<QueryResult> got = engine.RunBatch(parallel, 4);
   ASSERT_EQ(got.size(), base.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectSameResult(got[i], base[i], ToString(queries[i].semantics));
+    ExpectSameResult(got[i], base[i],
+                     ToString(queries[i].options.semantics));
   }
 }
 
 TEST(EngineDeterminismTest, StatsReportParallelExecutionThenCacheHit) {
   const TupleRelation rel = MakeClusteredTupleRelation(33000, 64, 200);
-  QueryEngine engine(rel);
-  engine.set_parallelism(Par(8));
+  const QueryEngine engine(rel);
 
-  RankingQuery q;
-  q.semantics = RankingSemantics::kQuantileRank;
-  q.k = 10;
-  q.phi = 0.5;
+  QueryRequest q;
+  q.options.semantics = RankingSemantics::kQuantileRank;
+  q.options.k = 10;
+  q.options.phi = 0.5;
+  q.parallelism = Par(8);
 
   const QueryResult cold = engine.Run(q);
   ASSERT_TRUE(cold.status.ok());

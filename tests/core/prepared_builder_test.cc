@@ -7,6 +7,7 @@
 
 #include "core/engine/prepared_builder.h"
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -138,7 +139,7 @@ void ExpectBlockedAttrIdentity(const AttrRelation& rel, int block) {
         RankingSemantics::kExpectedScore}) {
     QueryRequest req;
     req.options.semantics = semantics;
-    req.options.k = 5;
+    req.options.k = std::min(5, rel.size());  // k <= N (kInvalidK above)
     req.options.phi = 0.4;
     req.options.threshold = 0.05;
     const QueryResult a = blocked_engine.Run(req);

@@ -21,6 +21,7 @@ namespace {
 
 using testing_util::PaperFig2;
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 using testing_util::RandomSmallAttr;
 using testing_util::RandomSmallTuple;
 
@@ -28,31 +29,31 @@ using testing_util::RandomSmallTuple;
 
 AttrSemanticsFn AttrExpectedRankSemantics() {
   return [](const AttrRelation& rel, int k) {
-    return IdsOf(AttrExpectedRankTopK(rel, k));
+    return IdsOf(AttrExpectedRankTopK(Prepared(rel), k));
   };
 }
 
 TupleSemanticsFn TupleExpectedRankSemantics() {
   return [](const TupleRelation& rel, int k) {
-    return IdsOf(TupleExpectedRankTopK(rel, k));
+    return IdsOf(TupleExpectedRankTopK(Prepared(rel), k));
   };
 }
 
 AttrSemanticsFn AttrQuantileSemantics(double phi) {
   return [phi](const AttrRelation& rel, int k) {
-    return IdsOf(AttrQuantileRankTopK(rel, k, phi));
+    return IdsOf(AttrQuantileRankTopK(Prepared(rel), k, phi));
   };
 }
 
 TupleSemanticsFn TupleQuantileSemantics(double phi) {
   return [phi](const TupleRelation& rel, int k) {
-    return IdsOf(TupleQuantileRankTopK(rel, k, phi));
+    return IdsOf(TupleQuantileRankTopK(Prepared(rel), k, phi));
   };
 }
 
 AttrSemanticsFn AttrExpectedScoreSemantics() {
   return [](const AttrRelation& rel, int k) {
-    return IdsOf(AttrExpectedScoreTopK(rel, k));
+    return IdsOf(AttrExpectedScoreTopK(Prepared(rel), k));
   };
 }
 
@@ -138,7 +139,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BaselinePropertiesTest, UTopkViolatesContainmentOnFig2) {
   AttrSemanticsFn semantics = [](const AttrRelation& rel, int k) {
-    return AttrUTopK(rel, k).ids;
+    return AttrUTopK(Prepared(rel), k).ids;
   };
   PropertyCheckOptions options;
   options.max_k = 3;
@@ -152,7 +153,7 @@ TEST(BaselinePropertiesTest, UTopkViolatesContainmentOnFig2) {
 
 TEST(BaselinePropertiesTest, UTopkViolatesContainmentOnFig4) {
   TupleSemanticsFn semantics = [](const TupleRelation& rel, int k) {
-    return TupleUTopK(rel, k).ids;
+    return TupleUTopK(Prepared(rel), k).ids;
   };
   PropertyCheckOptions options;
   options.max_k = 3;
@@ -164,7 +165,7 @@ TEST(BaselinePropertiesTest, UTopkViolatesContainmentOnFig4) {
 
 TEST(BaselinePropertiesTest, UKRanksViolatesUniqueRankingOnFig2) {
   AttrSemanticsFn semantics = [](const AttrRelation& rel, int k) {
-    return AttrUKRanks(rel, k);
+    return AttrUKRanks(Prepared(rel), k);
   };
   PropertyCheckOptions options;
   options.max_k = 3;
@@ -178,7 +179,7 @@ TEST(BaselinePropertiesTest, UKRanksViolatesUniqueRankingOnFig2) {
 
 TEST(BaselinePropertiesTest, UKRanksViolatesExactKOnFig4) {
   TupleSemanticsFn semantics = [](const TupleRelation& rel, int k) {
-    return TupleUKRanks(rel, k);
+    return TupleUKRanks(Prepared(rel), k);
   };
   PropertyCheckOptions options;
   options.max_k = 4;
@@ -191,7 +192,7 @@ TEST(BaselinePropertiesTest, UKRanksViolatesExactKOnFig4) {
 
 TEST(BaselinePropertiesTest, PTkViolatesExactKAndStrongContainment) {
   AttrSemanticsFn semantics = [](const AttrRelation& rel, int k) {
-    return AttrPTk(rel, k, 0.4);
+    return AttrPTk(Prepared(rel), k, 0.4);
   };
   PropertyCheckOptions options;
   options.max_k = 3;
@@ -206,7 +207,7 @@ TEST(BaselinePropertiesTest, PTkViolatesExactKAndStrongContainment) {
 
 TEST(BaselinePropertiesTest, GlobalTopkViolatesContainmentOnFig2) {
   AttrSemanticsFn semantics = [](const AttrRelation& rel, int k) {
-    return AttrGlobalTopK(rel, k);
+    return AttrGlobalTopK(Prepared(rel), k);
   };
   PropertyCheckOptions options;
   options.max_k = 3;

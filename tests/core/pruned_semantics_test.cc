@@ -17,6 +17,7 @@ namespace urank {
 namespace {
 
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 using testing_util::RandomSmallTuple;
 
 TEST(ScoreOrderSweepTest, TopKProbabilityMatchesBatchComputation) {
@@ -26,7 +27,8 @@ TEST(ScoreOrderSweepTest, TopKProbabilityMatchesBatchComputation) {
     for (TiePolicy ties :
          {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
       for (int k : {1, 3, 5}) {
-        const std::vector<double> batch = TupleTopKProbabilities(rel, k, ties);
+        const std::vector<double> batch =
+            TupleTopKProbabilities(Prepared(rel), k, ties);
         ScoreOrderSweep sweep(rel, ties);
         while (sweep.HasNext()) {
           const int i = sweep.Next();
@@ -61,7 +63,7 @@ TEST(ScoreOrderSweepTest, UnseenBoundsAreSound) {
   for (int trial = 0; trial < 10; ++trial) {
     TupleRelation rel = RandomSmallTuple(rng, 10);
     const int k = 3;
-    const std::vector<double> probs = TupleTopKProbabilities(rel, k);
+    const std::vector<double> probs = TupleTopKProbabilities(Prepared(rel), k);
     const auto positional = TuplePositionalProbabilities(rel);
     ScoreOrderSweep sweep(rel, TiePolicy::kBreakByIndex);
     std::vector<bool> seen(static_cast<size_t>(rel.size()), false);
@@ -90,7 +92,8 @@ TEST(ScoreOrderSweepDeathTest, QueriesBeforeNext) {
 TEST(TupleGlobalTopKPrunedTest, MatchesUnprunedOnPaperExample) {
   for (int k = 1; k <= 4; ++k) {
     const GlobalTopKPruneResult pruned = TupleGlobalTopKPruned(PaperFig4(), k);
-    EXPECT_EQ(pruned.ids, TupleGlobalTopK(PaperFig4(), k)) << "k=" << k;
+    EXPECT_EQ(pruned.ids, TupleGlobalTopK(Prepared(PaperFig4()), k))
+        << "k=" << k;
   }
 }
 
@@ -102,7 +105,7 @@ TEST(TupleGlobalTopKPrunedTest, MatchesUnprunedOnRandomInstances) {
       for (TiePolicy ties :
            {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
         EXPECT_EQ(TupleGlobalTopKPruned(rel, k, ties).ids,
-                  TupleGlobalTopK(rel, k, ties))
+                  TupleGlobalTopK(Prepared(rel), k, ties))
             << "k=" << k;
       }
     }
@@ -117,13 +120,13 @@ TEST(TupleGlobalTopKPrunedTest, StopsEarlyOnLargeRelations) {
   TupleRelation rel = GenerateTupleRelation(config);
   const GlobalTopKPruneResult pruned = TupleGlobalTopKPruned(rel, 20);
   EXPECT_LT(pruned.accessed, rel.size() / 10);
-  EXPECT_EQ(pruned.ids, TupleGlobalTopK(rel, 20));
+  EXPECT_EQ(pruned.ids, TupleGlobalTopK(Prepared(rel), 20));
 }
 
 TEST(TupleUKRanksPrunedTest, MatchesUnprunedOnPaperExample) {
   for (int k = 1; k <= 4; ++k) {
     const UKRanksPruneResult pruned = TupleUKRanksPruned(PaperFig4(), k);
-    EXPECT_EQ(pruned.ids, TupleUKRanks(PaperFig4(), k)) << "k=" << k;
+    EXPECT_EQ(pruned.ids, TupleUKRanks(Prepared(PaperFig4()), k)) << "k=" << k;
   }
 }
 
@@ -135,7 +138,7 @@ TEST(TupleUKRanksPrunedTest, MatchesUnprunedOnRandomInstances) {
       for (TiePolicy ties :
            {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
         EXPECT_EQ(TupleUKRanksPruned(rel, k, ties).ids,
-                  TupleUKRanks(rel, k, ties))
+                  TupleUKRanks(Prepared(rel), k, ties))
             << "k=" << k;
       }
     }
@@ -150,7 +153,7 @@ TEST(TupleUKRanksPrunedTest, StopsEarlyOnLargeRelations) {
   TupleRelation rel = GenerateTupleRelation(config);
   const UKRanksPruneResult pruned = TupleUKRanksPruned(rel, 10);
   EXPECT_LT(pruned.accessed, rel.size() / 10);
-  EXPECT_EQ(pruned.ids, TupleUKRanks(rel, 10));
+  EXPECT_EQ(pruned.ids, TupleUKRanks(Prepared(rel), 10));
 }
 
 TEST(PrunedSemanticsDeathTest, RejectBadArguments) {

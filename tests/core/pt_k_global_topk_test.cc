@@ -14,6 +14,7 @@ namespace {
 
 using testing_util::PaperFig2;
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 
 std::vector<int> Sorted(std::vector<int> v) {
   std::sort(v.begin(), v.end());
@@ -23,15 +24,16 @@ std::vector<int> Sorted(std::vector<int> v) {
 TEST(AttrPTkTest, PaperFig2ExampleWithThresholdPointFour) {
   // Section 4.2: with p = 0.4 the PT-1 answer is {t1}, but PT-2 and PT-3
   // both return {t1, t2, t3} (weak containment, exact-k violations).
-  EXPECT_EQ(Sorted(AttrPTk(PaperFig2(), 1, 0.4)), (std::vector<int>{1}));
-  EXPECT_EQ(Sorted(AttrPTk(PaperFig2(), 2, 0.4)),
+  EXPECT_EQ(Sorted(AttrPTk(Prepared(PaperFig2()), 1, 0.4)),
+            (std::vector<int>{1}));
+  EXPECT_EQ(Sorted(AttrPTk(Prepared(PaperFig2()), 2, 0.4)),
             (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(Sorted(AttrPTk(PaperFig2(), 3, 0.4)),
+  EXPECT_EQ(Sorted(AttrPTk(Prepared(PaperFig2()), 3, 0.4)),
             (std::vector<int>{1, 2, 3}));
 }
 
 TEST(AttrPTkTest, HighThresholdCanReturnEmpty) {
-  EXPECT_TRUE(AttrPTk(PaperFig2(), 1, 0.95).empty());
+  EXPECT_TRUE(AttrPTk(Prepared(PaperFig2()), 1, 0.95).empty());
 }
 
 TEST(AttrPTkTest, ThresholdOneKeepsOnlyCertainMembers) {
@@ -40,12 +42,12 @@ TEST(AttrPTkTest, ThresholdOneKeepsOnlyCertainMembers) {
       {1, {{50.0, 0.5}, {60.0, 0.5}}},
       {2, {{10.0, 1.0}}},
   });
-  EXPECT_EQ(Sorted(AttrPTk(rel, 1, 1.0)), (std::vector<int>{0}));
-  EXPECT_EQ(Sorted(AttrPTk(rel, 2, 1.0)), (std::vector<int>{0, 1}));
+  EXPECT_EQ(Sorted(AttrPTk(Prepared(rel), 1, 1.0)), (std::vector<int>{0}));
+  EXPECT_EQ(Sorted(AttrPTk(Prepared(rel), 2, 1.0)), (std::vector<int>{0, 1}));
 }
 
 TEST(AttrPTkTest, OrderedByDescendingProbability) {
-  const std::vector<int> answer = AttrPTk(PaperFig2(), 2, 0.1);
+  const std::vector<int> answer = AttrPTk(Prepared(PaperFig2()), 2, 0.1);
   // top-2 probabilities: t2 (.84) > t3 (.76) > t1 (.4).
   EXPECT_EQ(answer, (std::vector<int>{2, 3, 1}));
 }
@@ -55,7 +57,7 @@ TEST(TuplePTkTest, ThresholdSweepIsMonotone) {
   TupleRelation rel = testing_util::RandomSmallTuple(rng, 8);
   size_t prev = 1u << 20;
   for (double p : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-    const size_t size = TuplePTk(rel, 3, p).size();
+    const size_t size = TuplePTk(Prepared(rel), 3, p).size();
     EXPECT_LE(size, prev);
     prev = size;
   }
@@ -63,14 +65,15 @@ TEST(TuplePTkTest, ThresholdSweepIsMonotone) {
 
 TEST(AttrGlobalTopKTest, PaperFig2ContainmentCounterexample) {
   // Section 4.2: top-1 is t1, but top-2 is (t2, t3).
-  EXPECT_EQ(AttrGlobalTopK(PaperFig2(), 1), (std::vector<int>{1}));
-  EXPECT_EQ(AttrGlobalTopK(PaperFig2(), 2), (std::vector<int>{2, 3}));
+  EXPECT_EQ(AttrGlobalTopK(Prepared(PaperFig2()), 1), (std::vector<int>{1}));
+  EXPECT_EQ(AttrGlobalTopK(Prepared(PaperFig2()), 2), (std::vector<int>{2, 3}));
 }
 
 TEST(TupleGlobalTopKTest, PaperFig4ContainmentCounterexample) {
   // Section 4.2: top-1 is t1, but top-2 is (t3, t2).
-  EXPECT_EQ(TupleGlobalTopK(PaperFig4(), 1), (std::vector<int>{1}));
-  EXPECT_EQ(TupleGlobalTopK(PaperFig4(), 2), (std::vector<int>{3, 2}));
+  EXPECT_EQ(TupleGlobalTopK(Prepared(PaperFig4()), 1), (std::vector<int>{1}));
+  EXPECT_EQ(TupleGlobalTopK(Prepared(PaperFig4()), 2),
+            (std::vector<int>{3, 2}));
 }
 
 TEST(GlobalTopKTest, AlwaysReturnsExactlyKWhenPossible) {
@@ -78,9 +81,9 @@ TEST(GlobalTopKTest, AlwaysReturnsExactlyKWhenPossible) {
   TupleRelation trel = testing_util::RandomSmallTuple(rng, 9);
   AttrRelation arel = testing_util::RandomSmallAttr(rng, 7, 3);
   for (int k = 1; k <= 6; ++k) {
-    EXPECT_EQ(static_cast<int>(TupleGlobalTopK(trel, k).size()),
+    EXPECT_EQ(static_cast<int>(TupleGlobalTopK(Prepared(trel), k).size()),
               std::min(k, trel.size()));
-    EXPECT_EQ(static_cast<int>(AttrGlobalTopK(arel, k).size()),
+    EXPECT_EQ(static_cast<int>(AttrGlobalTopK(Prepared(arel), k).size()),
               std::min(k, arel.size()));
   }
 }
@@ -88,7 +91,7 @@ TEST(GlobalTopKTest, AlwaysReturnsExactlyKWhenPossible) {
 TEST(GlobalTopKTest, TopNIncludesEveryTuple) {
   Rng rng(3);
   AttrRelation rel = testing_util::RandomSmallAttr(rng, 6, 2);
-  EXPECT_EQ(Sorted(AttrGlobalTopK(rel, 6)),
+  EXPECT_EQ(Sorted(AttrGlobalTopK(Prepared(rel), 6)),
             (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
@@ -96,8 +99,8 @@ TEST(GlobalTopKTest, AgreesWithTopKProbabilities) {
   Rng rng(4);
   TupleRelation rel = testing_util::RandomSmallTuple(rng, 8);
   const int k = 3;
-  const std::vector<int> answer = TupleGlobalTopK(rel, k);
-  const std::vector<double> probs = TupleTopKProbabilities(rel, k);
+  const std::vector<int> answer = TupleGlobalTopK(Prepared(rel), k);
+  const std::vector<double> probs = TupleTopKProbabilities(Prepared(rel), k);
   // The k-th reported tuple's probability must be >= every unreported one.
   double kth = 2.0;
   for (int id : answer) {
@@ -118,7 +121,7 @@ TEST(GlobalTopKTest, AgreesWithTopKProbabilities) {
 TEST(TuplePTkPrunedTest, MatchesUnprunedOnPaperExample) {
   for (double threshold : {0.1, 0.3, 0.5, 0.9}) {
     const PTkPruneResult pruned = TuplePTkPruned(PaperFig4(), 2, threshold);
-    EXPECT_EQ(pruned.ids, TuplePTk(PaperFig4(), 2, threshold))
+    EXPECT_EQ(pruned.ids, TuplePTk(Prepared(PaperFig4()), 2, threshold))
         << "threshold " << threshold;
     EXPECT_LE(pruned.accessed, 4);
   }
@@ -133,7 +136,7 @@ TEST(TuplePTkPrunedTest, MatchesUnprunedOnRandomInstances) {
         for (TiePolicy ties :
              {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
           EXPECT_EQ(TuplePTkPruned(rel, k, threshold, ties).ids,
-                    TuplePTk(rel, k, threshold, ties))
+                    TuplePTk(Prepared(rel), k, threshold, ties))
               << "k=" << k << " p=" << threshold;
         }
       }
@@ -149,7 +152,7 @@ TEST(TuplePTkPrunedTest, StopsEarlyOnLargeRelations) {
   TupleRelation rel = GenerateTupleRelation(config);
   const PTkPruneResult pruned = TuplePTkPruned(rel, 20, 0.5);
   EXPECT_LT(pruned.accessed, rel.size() / 10);
-  EXPECT_EQ(pruned.ids, TuplePTk(rel, 20, 0.5));
+  EXPECT_EQ(pruned.ids, TuplePTk(Prepared(rel), 20, 0.5));
 }
 
 TEST(TuplePTkPrunedTest, HigherThresholdPrunesEarlier) {
@@ -169,10 +172,10 @@ TEST(TuplePTkPrunedDeathTest, RejectsBadArguments) {
 }
 
 TEST(PTkGlobalTopKDeathTest, RejectsBadArguments) {
-  EXPECT_DEATH(AttrPTk(PaperFig2(), 1, 0.0), "threshold");
-  EXPECT_DEATH(AttrPTk(PaperFig2(), 1, 1.5), "threshold");
-  EXPECT_DEATH(AttrGlobalTopK(PaperFig2(), 0), "k must be >= 1");
-  EXPECT_DEATH(TupleGlobalTopK(PaperFig4(), -3), "k must be >= 1");
+  EXPECT_DEATH(AttrPTk(Prepared(PaperFig2()), 1, 0.0), "threshold");
+  EXPECT_DEATH(AttrPTk(Prepared(PaperFig2()), 1, 1.5), "threshold");
+  EXPECT_DEATH(AttrGlobalTopK(Prepared(PaperFig2()), 0), "k must be >= 1");
+  EXPECT_DEATH(TupleGlobalTopK(Prepared(PaperFig4()), -3), "k must be >= 1");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@ namespace {
 
 using testing_util::PaperFig2;
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 using testing_util::RandomSmallAttr;
 using testing_util::RandomSmallTuple;
 
@@ -46,9 +47,10 @@ TEST(QuantileFromPmfDeathTest, RejectsBadArguments) {
 TEST(MedianRankTest, PaperFig2Values) {
   // Paper Section 7.1: r_m(t1) = 2, r_m(t2) = 1, r_m(t3) = 1;
   // final ranking (t2, t3, t1).
-  const std::vector<int> medians = AttrMedianRanks(PaperFig2());
+  const PreparedAttrRelation fig2 = Prepared(PaperFig2());
+  const std::vector<int> medians = AttrQuantileRanks(fig2, 0.5);
   EXPECT_EQ(medians, (std::vector<int>{2, 1, 1}));
-  const auto topk = AttrQuantileRankTopK(PaperFig2(), 3, 0.5);
+  const auto topk = AttrQuantileRankTopK(fig2, 3, 0.5);
   ASSERT_EQ(topk.size(), 3u);
   EXPECT_EQ(topk[0].id, 2);
   EXPECT_EQ(topk[1].id, 3);
@@ -58,9 +60,10 @@ TEST(MedianRankTest, PaperFig2Values) {
 TEST(MedianRankTest, PaperFig4Values) {
   // Paper Section 7.1: r_m(t1) = 2, r_m(t2) = 1, r_m(t3) = 1, r_m(t4) = 2;
   // final ranking (t2, t3, t1, t4).
-  const std::vector<int> medians = TupleMedianRanks(PaperFig4());
+  const PreparedTupleRelation fig4 = Prepared(PaperFig4());
+  const std::vector<int> medians = TupleQuantileRanks(fig4, 0.5);
   EXPECT_EQ(medians, (std::vector<int>{2, 1, 1, 2}));
-  const auto topk = TupleQuantileRankTopK(PaperFig4(), 4, 0.5);
+  const auto topk = TupleQuantileRankTopK(fig4, 4, 0.5);
   ASSERT_EQ(topk.size(), 4u);
   EXPECT_EQ(topk[0].id, 2);
   EXPECT_EQ(topk[1].id, 3);
@@ -71,16 +74,18 @@ TEST(MedianRankTest, PaperFig4Values) {
 TEST(QuantileRankTest, MonotoneInPhi) {
   Rng rng(1);
   AttrRelation arel = RandomSmallAttr(rng, 6, 3);
-  const auto q25 = AttrQuantileRanks(arel, 0.25);
-  const auto q50 = AttrQuantileRanks(arel, 0.5);
-  const auto q75 = AttrQuantileRanks(arel, 0.75);
+  const PreparedAttrRelation aprep = Prepared(arel);
+  const auto q25 = AttrQuantileRanks(aprep, 0.25);
+  const auto q50 = AttrQuantileRanks(aprep, 0.5);
+  const auto q75 = AttrQuantileRanks(aprep, 0.75);
   for (int i = 0; i < arel.size(); ++i) {
     EXPECT_LE(q25[static_cast<size_t>(i)], q50[static_cast<size_t>(i)]);
     EXPECT_LE(q50[static_cast<size_t>(i)], q75[static_cast<size_t>(i)]);
   }
   TupleRelation trel = RandomSmallTuple(rng, 7);
-  const auto t25 = TupleQuantileRanks(trel, 0.25);
-  const auto t75 = TupleQuantileRanks(trel, 0.75);
+  const PreparedTupleRelation tprep = Prepared(trel);
+  const auto t25 = TupleQuantileRanks(tprep, 0.25);
+  const auto t75 = TupleQuantileRanks(tprep, 0.75);
   for (int i = 0; i < trel.size(); ++i) {
     EXPECT_LE(t25[static_cast<size_t>(i)], t75[static_cast<size_t>(i)]);
   }
@@ -91,7 +96,7 @@ TEST(QuantileRankTest, MatchesEnumerationQuantiles) {
   for (int trial = 0; trial < 5; ++trial) {
     AttrRelation arel = RandomSmallAttr(rng, 5, 3);
     for (double phi : {0.25, 0.5, 0.9}) {
-      const auto fast = AttrQuantileRanks(arel, phi);
+      const auto fast = AttrQuantileRanks(Prepared(arel), phi);
       const auto worlds = AttrRankDistributionsByEnumeration(
           arel, TiePolicy::kBreakByIndex);
       for (int i = 0; i < arel.size(); ++i) {
@@ -101,7 +106,7 @@ TEST(QuantileRankTest, MatchesEnumerationQuantiles) {
     }
     TupleRelation trel = RandomSmallTuple(rng, 7);
     for (double phi : {0.25, 0.5, 0.9}) {
-      const auto fast = TupleQuantileRanks(trel, phi);
+      const auto fast = TupleQuantileRanks(Prepared(trel), phi);
       const auto worlds = TupleRankDistributionsByEnumeration(
           trel, TiePolicy::kBreakByIndex);
       for (int i = 0; i < trel.size(); ++i) {
@@ -119,15 +124,17 @@ TEST(QuantileRankTest, CertainDataQuantileIsSortPosition) {
       {2, {{20.0, 1.0}}},
   });
   for (double phi : {0.1, 0.5, 0.99}) {
-    EXPECT_EQ(AttrQuantileRanks(rel, phi), (std::vector<int>{2, 0, 1}));
+    EXPECT_EQ(AttrQuantileRanks(Prepared(rel), phi),
+              (std::vector<int>{2, 0, 1}));
   }
 }
 
 TEST(QuantileRankTest, ExtremePhiOnTupleModel) {
   // phi = 1 gives the maximum possible rank; phi near 0 the minimum.
-  TupleRelation rel = PaperFig4();
-  const auto qmax = TupleQuantileRanks(rel, 1.0);
-  const auto qmin = TupleQuantileRanks(rel, 0.001);
+  const TupleRelation rel = PaperFig4();
+  const PreparedTupleRelation prepared = Prepared(rel);
+  const auto qmax = TupleQuantileRanks(prepared, 1.0);
+  const auto qmin = TupleQuantileRanks(prepared, 0.001);
   for (int i = 0; i < rel.size(); ++i) {
     EXPECT_LE(qmin[static_cast<size_t>(i)], qmax[static_cast<size_t>(i)]);
   }
@@ -165,9 +172,10 @@ TEST(SummarizeRankDistributionTest, PaperFig2T1) {
 TEST(SummarizeRankDistributionTest, AgreesWithDedicatedFunctions) {
   Rng rng(9);
   const TupleRelation rel = RandomSmallTuple(rng, 8);
+  const PreparedTupleRelation prepared = Prepared(rel);
   const auto dists = TupleRankDistributions(rel);
-  const auto medians = TupleMedianRanks(rel);
-  const auto er = TupleExpectedRanks(rel, TiePolicy::kBreakByIndex);
+  const auto medians = TupleQuantileRanks(prepared, 0.5);
+  const auto er = TupleExpectedRanks(prepared, TiePolicy::kBreakByIndex);
   for (int i = 0; i < rel.size(); ++i) {
     const RankDistributionSummary s =
         SummarizeRankDistribution(dists[static_cast<size_t>(i)]);
@@ -188,8 +196,9 @@ TEST(SummarizeRankDistributionDeathTest, RejectsBadPmf) {
 }
 
 TEST(QuantileRankTopKDeathTest, RejectsBadArguments) {
-  EXPECT_DEATH(AttrQuantileRankTopK(PaperFig2(), 0, 0.5), "k must be >= 1");
-  EXPECT_DEATH(TupleQuantileRankTopK(PaperFig4(), 1, 0.0), "phi");
+  EXPECT_DEATH(AttrQuantileRankTopK(Prepared(PaperFig2()), 0, 0.5),
+               "k must be >= 1");
+  EXPECT_DEATH(TupleQuantileRankTopK(Prepared(PaperFig4()), 1, 0.0), "phi");
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
-// QueryEngine tests: engine-vs-facade equivalence for every semantics on
-// both uncertainty models, the recoverable validation taxonomy, RunBatch
-// determinism across thread counts, and cache-reuse statistics.
+// QueryEngine tests: shared-engine vs prepare-per-query equivalence for
+// every semantics on both uncertainty models, the recoverable validation
+// taxonomy, RunBatch determinism across thread counts, and cache-reuse
+// statistics.
 
 #include "core/engine/query_engine.h"
 
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
-
-// The equivalence tests deliberately diff engine answers against the
-// deprecated RunRankingQuery facade.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 #include "core/query.h"
 #include "gen/attr_gen.h"
@@ -44,19 +42,19 @@ TupleRelation MakeTuple(int n, uint64_t seed) {
 
 // One query per semantics; k/phi/threshold chosen to produce non-trivial
 // answers on relations of a few dozen tuples.
-std::vector<RankingQuery> AllSemanticsQueries(TiePolicy ties) {
-  std::vector<RankingQuery> queries;
+std::vector<QueryRequest> AllSemanticsQueries(TiePolicy ties) {
+  std::vector<QueryRequest> queries;
   for (RankingSemantics semantics :
        {RankingSemantics::kExpectedRank, RankingSemantics::kMedianRank,
         RankingSemantics::kQuantileRank, RankingSemantics::kUTopk,
         RankingSemantics::kUKRanks, RankingSemantics::kPTk,
         RankingSemantics::kGlobalTopk, RankingSemantics::kExpectedScore}) {
-    RankingQuery q;
-    q.semantics = semantics;
-    q.k = 5;
-    q.phi = 0.3;
-    q.threshold = 0.1;
-    q.ties = ties;
+    QueryRequest q;
+    q.options.semantics = semantics;
+    q.options.k = 5;
+    q.options.phi = 0.3;
+    q.options.threshold = 0.1;
+    q.options.ties = ties;
     queries.push_back(q);
   }
   return queries;
@@ -67,11 +65,21 @@ void ExpectSameAnswer(const RankingAnswer& got, const RankingAnswer& want,
   ASSERT_EQ(got.ids, want.ids) << label;
   ASSERT_EQ(got.statistics.size(), want.statistics.size()) << label;
   for (size_t i = 0; i < want.statistics.size(); ++i) {
-    // The prepared paths run the same arithmetic in the same order as the
-    // one-shot entry points, so equality is exact, not approximate.
+    // A warm engine and a freshly prepared one run the same arithmetic in
+    // the same order, so equality is exact, not approximate.
     EXPECT_EQ(got.statistics[i], want.statistics[i])
         << label << " statistic " << i;
   }
+}
+
+// What a one-shot query costs: prepare the relation, run one request. The
+// "facade" tests below diff a long-lived engine, whose statistic memo is
+// shared across every query, against this per-query preparation.
+template <typename Relation>
+RankingAnswer RunFresh(const Relation& rel, const QueryRequest& request) {
+  QueryResult result = QueryEngine(rel).Run(request);
+  EXPECT_TRUE(result.status.ok()) << result.status.message;
+  return std::move(result.answer);
 }
 
 class QueryEngineEquivalence : public ::testing::TestWithParam<uint64_t> {};
@@ -83,11 +91,11 @@ TEST_P(QueryEngineEquivalence, AttrMatchesFacadeForEverySemantics) {
   const QueryEngine engine(rel);
   for (TiePolicy ties :
        {TiePolicy::kBreakByIndex, TiePolicy::kStrictGreater}) {
-    for (const RankingQuery& q : AllSemanticsQueries(ties)) {
+    for (const QueryRequest& q : AllSemanticsQueries(ties)) {
       const QueryResult result = engine.Run(q);
-      ASSERT_TRUE(result.status.ok()) << ToString(q.semantics);
-      ExpectSameAnswer(result.answer, RunRankingQuery(rel, q),
-                       ToString(q.semantics));
+      ASSERT_TRUE(result.status.ok()) << ToString(q.options.semantics);
+      ExpectSameAnswer(result.answer, RunFresh(rel, q),
+                       ToString(q.options.semantics));
     }
   }
 }
@@ -97,11 +105,11 @@ TEST_P(QueryEngineEquivalence, TupleMatchesFacadeForEverySemantics) {
   const QueryEngine engine(rel);
   for (TiePolicy ties :
        {TiePolicy::kBreakByIndex, TiePolicy::kStrictGreater}) {
-    for (const RankingQuery& q : AllSemanticsQueries(ties)) {
+    for (const QueryRequest& q : AllSemanticsQueries(ties)) {
       const QueryResult result = engine.Run(q);
-      ASSERT_TRUE(result.status.ok()) << ToString(q.semantics);
-      ExpectSameAnswer(result.answer, RunRankingQuery(rel, q),
-                       ToString(q.semantics));
+      ASSERT_TRUE(result.status.ok()) << ToString(q.options.semantics);
+      ExpectSameAnswer(result.answer, RunFresh(rel, q),
+                       ToString(q.options.semantics));
     }
   }
 }
@@ -111,14 +119,15 @@ TEST_P(QueryEngineEquivalence, RunBatchIsDeterministicAcrossThreadCounts) {
   const QueryEngine engine(rel);
   // Two tie policies' worth of queries, twice over: repeated queries make
   // the memoized statistics contended across workers.
-  std::vector<RankingQuery> batch = AllSemanticsQueries(TiePolicy::kBreakByIndex);
+  std::vector<QueryRequest> batch =
+      AllSemanticsQueries(TiePolicy::kBreakByIndex);
   const auto more = AllSemanticsQueries(TiePolicy::kStrictGreater);
   batch.insert(batch.end(), more.begin(), more.end());
   batch.insert(batch.end(), batch.begin(), batch.end());
 
   std::vector<QueryResult> baseline;
   baseline.reserve(batch.size());
-  for (const RankingQuery& q : batch) baseline.push_back(engine.Run(q));
+  for (const QueryRequest& q : batch) baseline.push_back(engine.Run(q));
 
   for (int threads : {1, 2, 5, 8}) {
     const std::vector<QueryResult> results = engine.RunBatch(batch, threads);
@@ -126,7 +135,7 @@ TEST_P(QueryEngineEquivalence, RunBatchIsDeterministicAcrossThreadCounts) {
     for (size_t i = 0; i < batch.size(); ++i) {
       EXPECT_TRUE(results[i].status.ok());
       ExpectSameAnswer(results[i].answer, baseline[i].answer,
-                       ToString(batch[i].semantics));
+                       ToString(batch[i].options.semantics));
     }
   }
 }
@@ -138,36 +147,76 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QueryEngineEquivalence,
 TEST(QueryEngineValidation, RejectsBadParametersRecoverably) {
   const QueryEngine engine(MakeTuple(20, 7));
 
-  RankingQuery q;
-  q.semantics = RankingSemantics::kExpectedRank;
-  q.k = 0;
+  QueryRequest q;
+  q.options.semantics = RankingSemantics::kExpectedRank;
+  q.options.k = 0;
   QueryResult result = engine.Run(q);
   EXPECT_EQ(result.status.code, QueryStatusCode::kInvalidK);
   EXPECT_NE(result.status.message.find("k must be >= 1"), std::string::npos);
   EXPECT_TRUE(result.answer.ids.empty());
 
   q = {};
-  q.semantics = RankingSemantics::kQuantileRank;
-  q.phi = 1.5;
+  q.options.semantics = RankingSemantics::kQuantileRank;
+  q.options.phi = 1.5;
   result = engine.Run(q);
   EXPECT_EQ(result.status.code, QueryStatusCode::kInvalidPhi);
   EXPECT_NE(result.status.message.find("phi"), std::string::npos);
 
   // phi is only a quantile parameter: out-of-range values are ignored
   // elsewhere.
-  q.semantics = RankingSemantics::kExpectedRank;
+  q.options.semantics = RankingSemantics::kExpectedRank;
   EXPECT_TRUE(engine.Run(q).status.ok());
 
   q = {};
-  q.semantics = RankingSemantics::kPTk;
-  q.threshold = 0.0;
+  q.options.semantics = RankingSemantics::kPTk;
+  q.options.threshold = 0.0;
   result = engine.Run(q);
   EXPECT_EQ(result.status.code, QueryStatusCode::kInvalidThreshold);
   EXPECT_NE(result.status.message.find("threshold"), std::string::npos);
 
   q = {};
-  EXPECT_EQ(engine.Validate(q).code, QueryStatusCode::kOk);
-  EXPECT_TRUE(engine.Validate(q).message.empty());
+  EXPECT_EQ(engine.Validate(q.options).code, QueryStatusCode::kOk);
+  EXPECT_TRUE(engine.Validate(q.options).message.empty());
+}
+
+TEST(QueryEngineValidation, RejectsKAboveRelationSize) {
+  // k = N is the largest top-k a relation can fill; k = N + 1 is rejected
+  // for every semantics on both models before any k-sized table is built.
+  const int n = 12;
+  const QueryEngine tuple_engine(MakeTuple(n, 53));
+  const QueryEngine attr_engine(MakeAttr(6, 59));
+  const RankingSemantics all[] = {
+      RankingSemantics::kExpectedRank, RankingSemantics::kMedianRank,
+      RankingSemantics::kQuantileRank, RankingSemantics::kUTopk,
+      RankingSemantics::kUKRanks,      RankingSemantics::kPTk,
+      RankingSemantics::kGlobalTopk,   RankingSemantics::kExpectedScore,
+  };
+  for (RankingSemantics semantics : all) {
+    for (const auto& [engine, size] :
+         {std::pair<const QueryEngine*, int>{&tuple_engine, n},
+          std::pair<const QueryEngine*, int>{&attr_engine, 6}}) {
+      QueryRequest q;
+      q.options.semantics = semantics;
+      q.options.threshold = 0.1;
+      q.options.k = size;
+      EXPECT_TRUE(engine->Run(q).status.ok()) << ToString(semantics);
+      q.options.k = size + 1;
+      const QueryResult result = engine->Run(q);
+      EXPECT_EQ(result.status.code, QueryStatusCode::kInvalidK)
+          << ToString(semantics);
+      EXPECT_NE(result.status.message.find("k must be <= N"),
+                std::string::npos)
+          << result.status.message;
+      EXPECT_TRUE(result.answer.ids.empty());
+      EXPECT_EQ(engine->Validate(q.options).code, QueryStatusCode::kInvalidK);
+    }
+  }
+  // The wire accepts any int: the largest one must come back as a status,
+  // not as an O(N·k) allocation.
+  QueryRequest huge;
+  huge.options.semantics = RankingSemantics::kUTopk;
+  huge.options.k = 2147483647;
+  EXPECT_EQ(tuple_engine.Run(huge).status.code, QueryStatusCode::kInvalidK);
 }
 
 TEST(QueryEngineValidation, RejectsNonEnumerableUTopkWorldCount) {
@@ -176,31 +225,31 @@ TEST(QueryEngineValidation, RejectsNonEnumerableUTopkWorldCount) {
   ASSERT_GT(rel.NumWorlds(), kMaxEnumerableWorlds);
   const QueryEngine engine(rel);
 
-  RankingQuery q;
-  q.semantics = RankingSemantics::kUTopk;
-  q.k = 3;
+  QueryRequest q;
+  q.options.semantics = RankingSemantics::kUTopk;
+  q.options.k = 3;
   const QueryResult result = engine.Run(q);
   EXPECT_EQ(result.status.code, QueryStatusCode::kWorldCountNotEnumerable);
   EXPECT_FALSE(result.status.ok());
 
   // Every other semantics still runs on the same engine.
-  q.semantics = RankingSemantics::kExpectedRank;
+  q.options.semantics = RankingSemantics::kExpectedRank;
   EXPECT_TRUE(engine.Run(q).status.ok());
 }
 
 TEST(QueryEngineStats, ReportsCacheReuseOnRepeatedStatistics) {
   const QueryEngine engine(MakeTuple(50, 13));
 
-  RankingQuery q;
-  q.semantics = RankingSemantics::kExpectedRank;
-  q.k = 5;
+  QueryRequest q;
+  q.options.semantics = RankingSemantics::kExpectedRank;
+  q.options.k = 5;
   const QueryResult cold = engine.Run(q);
   EXPECT_FALSE(cold.stats.reused_cache);
   EXPECT_GT(cold.stats.dp_cells, 0);
   EXPECT_EQ(cold.stats.tuples_pruned, 0);
 
   // A different k ranks by the same memoized expected-rank vector.
-  q.k = 20;
+  q.options.k = 20;
   const QueryResult warm = engine.Run(q);
   EXPECT_TRUE(warm.stats.reused_cache);
   EXPECT_EQ(warm.stats.dp_cells, 0);
@@ -209,12 +258,12 @@ TEST(QueryEngineStats, ReportsCacheReuseOnRepeatedStatistics) {
   // The median is the phi = 0.5 quantile: the two semantics share a cache
   // entry.
   q = {};
-  q.semantics = RankingSemantics::kMedianRank;
+  q.options.semantics = RankingSemantics::kMedianRank;
   EXPECT_FALSE(engine.Run(q).stats.reused_cache);
-  q.semantics = RankingSemantics::kQuantileRank;
-  q.phi = 0.5;
+  q.options.semantics = RankingSemantics::kQuantileRank;
+  q.options.phi = 0.5;
   EXPECT_TRUE(engine.Run(q).stats.reused_cache);
-  q.phi = 0.25;
+  q.options.phi = 0.25;
   EXPECT_FALSE(engine.Run(q).stats.reused_cache);
 }
 
@@ -222,15 +271,13 @@ TEST(QueryEngineStats, TinyRelationReportsOneThreadEvenWhenParallelismAsked) {
   // min_parallel_items suppresses the pool for tiny inputs, and
   // threads_used reports threads that actually participated — not the
   // requested ParallelismOptions — so a tiny N must report exactly 1.
-  QueryEngine engine(MakeTuple(40, 23));
-  ParallelismOptions par;
-  par.threads = 8;
-  engine.set_parallelism(par);
+  const QueryEngine engine(MakeTuple(40, 23));
 
-  RankingQuery q;
-  q.semantics = RankingSemantics::kQuantileRank;
-  q.k = 5;
-  q.phi = 0.5;
+  QueryRequest q;
+  q.options.semantics = RankingSemantics::kQuantileRank;
+  q.options.k = 5;
+  q.options.phi = 0.5;
+  q.parallelism.threads = 8;
   const QueryResult cold = engine.Run(q);
   ASSERT_TRUE(cold.status.ok());
   EXPECT_FALSE(cold.stats.reused_cache);
@@ -241,10 +288,10 @@ TEST(QueryEngineStats, BatchComputesContendedStatisticExactlyOnce) {
   const auto prepared = QueryEngine::Prepare(MakeTuple(80, 17));
   const QueryEngine engine(prepared);
 
-  RankingQuery q;
-  q.semantics = RankingSemantics::kExpectedRank;
-  q.k = 10;
-  const std::vector<RankingQuery> batch(8, q);
+  QueryRequest q;
+  q.options.semantics = RankingSemantics::kExpectedRank;
+  q.options.k = 10;
+  const std::vector<QueryRequest> batch(8, q);
   const std::vector<QueryResult> results = engine.RunBatch(batch, 8);
   ASSERT_EQ(results.size(), batch.size());
   for (const QueryResult& r : results) EXPECT_TRUE(r.status.ok());
@@ -255,9 +302,9 @@ TEST(QueryEngineStats, BatchComputesContendedStatisticExactlyOnce) {
 }
 
 TEST(QueryEngineSparseIds, HugeTupleIdsUseNoPositionalArray) {
-  // Regression: the facade used to build a position array indexed by the
-  // maximum id, so a single id near 10^9 allocated gigabytes. The id index
-  // is now a hash map on both models.
+  // Regression: one-shot queries used to build a position array indexed by
+  // the maximum id, so a single id near 10^9 allocated gigabytes. The id
+  // index is now a hash map on both models.
   const TupleRelation rel({{1000000000, 30.0, 0.6},
                            {3, 20.0, 0.5},
                            {7, 10.0, 0.4}},
@@ -267,70 +314,37 @@ TEST(QueryEngineSparseIds, HugeTupleIdsUseNoPositionalArray) {
   EXPECT_EQ(engine.tuple()->PositionOfId(3), 1);
   EXPECT_EQ(engine.tuple()->PositionOfId(42), -1);
 
-  RankingQuery q;
-  q.semantics = RankingSemantics::kGlobalTopk;
-  q.k = 2;
+  QueryRequest q;
+  q.options.semantics = RankingSemantics::kGlobalTopk;
+  q.options.k = 2;
   const QueryResult result = engine.Run(q);
   ASSERT_TRUE(result.status.ok());
   ASSERT_EQ(result.answer.ids.size(), 2u);
   ASSERT_EQ(result.answer.statistics.size(), 2u);
   for (double p : result.answer.statistics) EXPECT_GT(p, 0.0);
 
-  // The facade shim inherits the fix.
-  const RankingAnswer facade = RunRankingQuery(rel, q);
-  EXPECT_EQ(facade.ids, result.answer.ids);
+  // A freshly prepared one-shot query inherits the fix.
+  EXPECT_EQ(RunFresh(rel, q).ids, result.answer.ids);
 }
 
 TEST(QueryEngineBatch, EmptyBatchAndThreadDefaultsAreSafe) {
   const QueryEngine engine(MakeTuple(10, 19));
-  EXPECT_TRUE(engine.RunBatch(std::vector<RankingQuery>{}, 0).empty());
+  EXPECT_TRUE(engine.RunBatch(std::vector<QueryRequest>{}, 0).empty());
   EXPECT_TRUE(engine.RunBatch(std::vector<QueryRequest>{}, 4).empty());
 
-  RankingQuery q;
+  const QueryRequest q;
   const auto results = engine.RunBatch({q, q, q}, 0);  // hardware default
   ASSERT_EQ(results.size(), 3u);
   for (const QueryResult& r : results) EXPECT_TRUE(r.status.ok());
 }
 
-// --- The QueryRequest surface (PR 7 API redesign) ---------------------
-
-TEST(QueryRequestSurface, RequestRunMatchesLegacyRunExactly) {
-  const QueryEngine engine(MakeTuple(60, 31));
-  const RankingSemantics all[] = {
-      RankingSemantics::kExpectedRank, RankingSemantics::kMedianRank,
-      RankingSemantics::kQuantileRank, RankingSemantics::kUTopk,
-      RankingSemantics::kUKRanks,      RankingSemantics::kPTk,
-      RankingSemantics::kGlobalTopk,   RankingSemantics::kExpectedScore,
-  };
-  for (RankingSemantics semantics : all) {
-    RankingQuery legacy;
-    legacy.semantics = semantics;
-    legacy.k = 5;
-    legacy.phi = 0.5;
-    legacy.threshold = 0.1;
-
-    QueryRequest request;
-    request.options = legacy;
-
-    const QueryResult via_legacy = engine.Run(legacy);
-    const QueryResult via_request = engine.Run(request);
-    ASSERT_EQ(via_legacy.status.code, via_request.status.code)
-        << ToString(semantics);
-    EXPECT_EQ(via_legacy.answer.ids, via_request.answer.ids)
-        << ToString(semantics);
-    EXPECT_EQ(via_legacy.answer.statistics, via_request.answer.statistics)
-        << ToString(semantics);
-  }
-}
+// --- The QueryRequest surface --------------------------------------------
 
 TEST(QueryRequestSurface, PerRequestParallelismReplacesEngineSideChannel) {
-  // One engine, two requests with different parallelism: results must be
-  // bit-identical (determinism contract) and the engine-level setting
-  // must not leak into the request path.
-  QueryEngine engine(MakeTuple(20000, 37));
-  ParallelismOptions engine_par;
-  engine_par.threads = 1;
-  engine.set_parallelism(engine_par);
+  // Two requests with different parallelism: results must be bit-identical
+  // (determinism contract), and parallelism travels with the request, not
+  // with the engine.
+  const QueryEngine engine(MakeTuple(20000, 37));
 
   QueryRequest serial;
   serial.options.semantics = RankingSemantics::kExpectedRank;
@@ -369,34 +383,6 @@ TEST(QueryRequestSurface, ServeFieldsPassThroughWithoutAffectingExecution) {
   const QueryResult result = engine.Run(request);
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.answer.ids.size(), 5u);
-}
-
-TEST(QueryRequestSurface, RequestBatchMatchesLegacyBatch) {
-  const QueryEngine engine(MakeTuple(80, 43));
-  std::vector<RankingQuery> legacy;
-  std::vector<QueryRequest> requests;
-  const RankingSemantics mix[] = {RankingSemantics::kExpectedRank,
-                                  RankingSemantics::kPTk,
-                                  RankingSemantics::kGlobalTopk};
-  for (RankingSemantics semantics : mix) {
-    RankingQuery q;
-    q.semantics = semantics;
-    q.k = 8;
-    q.threshold = 0.1;
-    legacy.push_back(q);
-    QueryRequest request;
-    request.options = q;
-    requests.push_back(request);
-  }
-  const std::vector<QueryResult> legacy_results = engine.RunBatch(legacy, 2);
-  const std::vector<QueryResult> request_results =
-      engine.RunBatch(requests, 2);
-  ASSERT_EQ(legacy_results.size(), request_results.size());
-  for (std::size_t i = 0; i < legacy_results.size(); ++i) {
-    EXPECT_EQ(legacy_results[i].answer.ids, request_results[i].answer.ids);
-    EXPECT_EQ(legacy_results[i].answer.statistics,
-              request_results[i].answer.statistics);
-  }
 }
 
 TEST(QueryRequestSurface, ValidationErrorsSurfaceThroughRequestRun) {

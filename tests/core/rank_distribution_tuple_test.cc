@@ -93,8 +93,11 @@ TEST(TupleRankDistributionTest, StreamingFormAgreesWithMatrixForm) {
   EXPECT_EQ(visited, rel.size());
 }
 
+// `n` is 64 bits wide so the struct has no padding: GoogleTest prints the
+// parameter's raw bytes into the test name, and uninitialised padding would
+// make that name differ from run to run.
 struct TupleDistParam {
-  int n;
+  int64_t n;
   uint64_t seed;
 };
 
@@ -105,7 +108,7 @@ TEST_P(TupleRankDistributionCrossCheck, MatchesEnumeration) {
   const TupleDistParam param = GetParam();
   Rng rng(param.seed);
   for (int trial = 0; trial < 6; ++trial) {
-    TupleRelation rel = RandomSmallTuple(rng, param.n);
+    TupleRelation rel = RandomSmallTuple(rng, static_cast<int>(param.n));
     for (TiePolicy ties :
          {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
       const auto dp = TupleRankDistributions(rel, ties);
@@ -131,7 +134,7 @@ TEST_P(TuplePositionalCrossCheck, MatchesEnumeration) {
   const TupleDistParam param = GetParam();
   Rng rng(param.seed);
   for (int trial = 0; trial < 6; ++trial) {
-    TupleRelation rel = RandomSmallTuple(rng, param.n);
+    TupleRelation rel = RandomSmallTuple(rng, static_cast<int>(param.n));
     for (TiePolicy ties :
          {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
       const auto dp = TuplePositionalProbabilities(rel, ties);

@@ -13,13 +13,14 @@ namespace {
 using testing_util::ExpectNearVectors;
 using testing_util::PaperFig2;
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 using testing_util::RandomSmallAttr;
 using testing_util::RandomSmallTuple;
 
 TEST(AttrTopKProbabilitiesTest, PaperFig2TopTwo) {
   // Derived in Section 4.2's PT-k discussion: top-2 probabilities are
   // 0.4 (t1), 0.84 (t2), 0.76 (t3).
-  ExpectNearVectors(AttrTopKProbabilities(PaperFig2(), 2),
+  ExpectNearVectors(AttrTopKProbabilities(Prepared(PaperFig2()), 2),
                     {0.4, 0.84, 0.76}, 1e-12);
 }
 
@@ -27,7 +28,7 @@ TEST(AttrTopKProbabilitiesTest, TopNIsCertain) {
   // Every tuple is within the top-N in every world.
   Rng rng(1);
   AttrRelation rel = RandomSmallAttr(rng, 6, 3);
-  for (double p : AttrTopKProbabilities(rel, rel.size())) {
+  for (double p : AttrTopKProbabilities(Prepared(rel), rel.size())) {
     EXPECT_NEAR(p, 1.0, 1e-9);
   }
 }
@@ -35,9 +36,9 @@ TEST(AttrTopKProbabilitiesTest, TopNIsCertain) {
 TEST(AttrTopKProbabilitiesTest, MonotoneInK) {
   Rng rng(2);
   AttrRelation rel = RandomSmallAttr(rng, 6, 3);
-  const auto k1 = AttrTopKProbabilities(rel, 1);
-  const auto k2 = AttrTopKProbabilities(rel, 2);
-  const auto k4 = AttrTopKProbabilities(rel, 4);
+  const auto k1 = AttrTopKProbabilities(Prepared(rel), 1);
+  const auto k2 = AttrTopKProbabilities(Prepared(rel), 2);
+  const auto k4 = AttrTopKProbabilities(Prepared(rel), 4);
   for (int i = 0; i < rel.size(); ++i) {
     EXPECT_LE(k1[static_cast<size_t>(i)], k2[static_cast<size_t>(i)] + 1e-12);
     EXPECT_LE(k2[static_cast<size_t>(i)], k4[static_cast<size_t>(i)] + 1e-12);
@@ -47,9 +48,9 @@ TEST(AttrTopKProbabilitiesTest, MonotoneInK) {
 TEST(TupleTopKProbabilitiesTest, PaperFig4Values) {
   // Worked out in Section 4.2's Global-Topk discussion: top-1 probs are
   // .4/.3/.3/0, top-2 probs .4/.5/.8/.3.
-  ExpectNearVectors(TupleTopKProbabilities(PaperFig4(), 1),
+  ExpectNearVectors(TupleTopKProbabilities(Prepared(PaperFig4()), 1),
                     {0.4, 0.3, 0.3, 0.0}, 1e-12);
-  ExpectNearVectors(TupleTopKProbabilities(PaperFig4(), 2),
+  ExpectNearVectors(TupleTopKProbabilities(Prepared(PaperFig4()), 2),
                     {0.4, 0.5, 0.8, 0.3}, 1e-12);
 }
 
@@ -57,7 +58,7 @@ TEST(TupleTopKProbabilitiesTest, CappedByPresenceProbability) {
   Rng rng(3);
   TupleRelation rel = RandomSmallTuple(rng, 8);
   for (int k : {1, 3, 8}) {
-    const auto probs = TupleTopKProbabilities(rel, k);
+    const auto probs = TupleTopKProbabilities(Prepared(rel), k);
     for (int i = 0; i < rel.size(); ++i) {
       EXPECT_LE(probs[static_cast<size_t>(i)],
                 rel.tuple(i).prob + 1e-9);
@@ -70,7 +71,7 @@ TEST(TupleTopKProbabilitiesTest, MatchesEnumeration) {
   for (int trial = 0; trial < 6; ++trial) {
     TupleRelation rel = RandomSmallTuple(rng, 7);
     for (int k : {1, 2, 4}) {
-      const auto fast = TupleTopKProbabilities(rel, k);
+      const auto fast = TupleTopKProbabilities(Prepared(rel), k);
       std::vector<double> worlds(static_cast<size_t>(rel.size()), 0.0);
       ForEachTupleWorld(rel, [&](const std::vector<bool>& present,
                                  double prob) {
@@ -92,7 +93,7 @@ TEST(AttrTopKProbabilitiesTest, MatchesEnumeration) {
   for (int trial = 0; trial < 6; ++trial) {
     AttrRelation rel = RandomSmallAttr(rng, 5, 3);
     for (int k : {1, 2, 4}) {
-      const auto fast = AttrTopKProbabilities(rel, k);
+      const auto fast = AttrTopKProbabilities(Prepared(rel), k);
       std::vector<double> worlds(static_cast<size_t>(rel.size()), 0.0);
       ForEachAttrWorld(rel, [&](const std::vector<double>& scores,
                                 double prob) {
@@ -108,8 +109,10 @@ TEST(AttrTopKProbabilitiesTest, MatchesEnumeration) {
 }
 
 TEST(TopKProbabilitiesDeathTest, RejectsNonPositiveK) {
-  EXPECT_DEATH(AttrTopKProbabilities(PaperFig2(), 0), "k must be >= 1");
-  EXPECT_DEATH(TupleTopKProbabilities(PaperFig4(), 0), "k must be >= 1");
+  EXPECT_DEATH(AttrTopKProbabilities(Prepared(PaperFig2()), 0),
+               "k must be >= 1");
+  EXPECT_DEATH(TupleTopKProbabilities(Prepared(PaperFig4()), 0),
+               "k must be >= 1");
 }
 
 }  // namespace

@@ -12,18 +12,19 @@ namespace {
 
 using testing_util::PaperFig2;
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 
 TEST(AttrUKRanksTest, PaperFig2TopThree) {
   // Section 4.2: under U-kRanks the top-3 is t1, t3, t1 — t1 appears twice
   // and t2 never (the unique-ranking counterexample).
-  const std::vector<int> answer = AttrUKRanks(PaperFig2(), 3);
+  const std::vector<int> answer = AttrUKRanks(Prepared(PaperFig2()), 3);
   EXPECT_EQ(answer, (std::vector<int>{1, 3, 1}));
 }
 
 TEST(TupleUKRanksTest, PaperFig4Positions) {
   // Section 4.2: rank 1 -> t1; rank 2 -> t3; rank 3 is a tie (t3/t4, both
   // 0.2; smaller id wins); rank 4 is unreachable -> -1.
-  const std::vector<int> answer = TupleUKRanks(PaperFig4(), 4);
+  const std::vector<int> answer = TupleUKRanks(Prepared(PaperFig4()), 4);
   ASSERT_EQ(answer.size(), 4u);
   EXPECT_EQ(answer[0], 1);
   EXPECT_EQ(answer[1], 3);
@@ -37,10 +38,10 @@ TEST(UKRanksTest, CertainDataIsSortOrder) {
       {1, {{30.0, 1.0}}},
       {2, {{20.0, 1.0}}},
   });
-  EXPECT_EQ(AttrUKRanks(arel, 3), (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(AttrUKRanks(Prepared(arel), 3), (std::vector<int>{1, 2, 0}));
   TupleRelation trel = TupleRelation::Independent(
       {{0, 10.0, 1.0}, {1, 30.0, 1.0}, {2, 20.0, 1.0}});
-  EXPECT_EQ(TupleUKRanks(trel, 3), (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(TupleUKRanks(Prepared(trel), 3), (std::vector<int>{1, 2, 0}));
 }
 
 TEST(UKRanksTest, MatchesEnumerationArgmax) {
@@ -48,7 +49,7 @@ TEST(UKRanksTest, MatchesEnumerationArgmax) {
   for (int trial = 0; trial < 8; ++trial) {
     TupleRelation rel = testing_util::RandomSmallTuple(rng, 7);
     const int k = 4;
-    const std::vector<int> fast = TupleUKRanks(rel, k);
+    const std::vector<int> fast = TupleUKRanks(Prepared(rel), k);
     // Enumerate Pr[t_i present at rank r] and take argmax per rank.
     std::vector<std::vector<double>> pos(
         static_cast<size_t>(rel.size()),
@@ -98,14 +99,14 @@ TEST(UKRanksTest, UnreachableRanksAreMinusOne) {
   // Two mutually exclusive tuples: at most one appears, so rank 2 is
   // unreachable.
   TupleRelation rel({{1, 10.0, 0.5}, {2, 20.0, 0.5}}, {{0, 1}});
-  const std::vector<int> answer = TupleUKRanks(rel, 2);
+  const std::vector<int> answer = TupleUKRanks(Prepared(rel), 2);
   EXPECT_NE(answer[0], -1);
   EXPECT_EQ(answer[1], -1);
 }
 
 TEST(UKRanksDeathTest, RejectsNonPositiveK) {
-  EXPECT_DEATH(AttrUKRanks(PaperFig2(), 0), "k must be >= 1");
-  EXPECT_DEATH(TupleUKRanks(PaperFig4(), 0), "k must be >= 1");
+  EXPECT_DEATH(AttrUKRanks(Prepared(PaperFig2()), 0), "k must be >= 1");
+  EXPECT_DEATH(TupleUKRanks(Prepared(PaperFig4()), 0), "k must be >= 1");
 }
 
 }  // namespace

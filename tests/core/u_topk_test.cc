@@ -13,24 +13,25 @@ namespace {
 
 using testing_util::PaperFig2;
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 
 TEST(AttrUTopKTest, PaperFig2ContainmentCounterexample) {
   // Section 4.2: top-1 is {t1} (0.4) but top-2 is {t2, t3} (0.36) —
   // completely disjoint.
-  const UTopKAnswer top1 = AttrUTopK(PaperFig2(), 1);
+  const UTopKAnswer top1 = AttrUTopK(Prepared(PaperFig2()), 1);
   EXPECT_EQ(top1.ids, (std::vector<int>{1}));
   EXPECT_NEAR(top1.probability, 0.4, 1e-12);
-  const UTopKAnswer top2 = AttrUTopK(PaperFig2(), 2);
+  const UTopKAnswer top2 = AttrUTopK(Prepared(PaperFig2()), 2);
   EXPECT_EQ(top2.ids, (std::vector<int>{2, 3}));
   EXPECT_NEAR(top2.probability, 0.36, 1e-12);
 }
 
 TEST(TupleUTopKTest, PaperFig4ContainmentCounterexample) {
   // Section 4.2: top-1 is t1; top-2 is (t2,t3) or (t3,t4), both 0.3.
-  const UTopKAnswer top1 = TupleUTopK(PaperFig4(), 1);
+  const UTopKAnswer top1 = TupleUTopK(Prepared(PaperFig4()), 1);
   EXPECT_EQ(top1.ids, (std::vector<int>{1}));
   EXPECT_NEAR(top1.probability, 0.4, 1e-12);
-  const UTopKAnswer top2 = TupleUTopK(PaperFig4(), 2);
+  const UTopKAnswer top2 = TupleUTopK(Prepared(PaperFig4()), 2);
   EXPECT_NEAR(top2.probability, 0.3, 1e-12);
   const bool valid = top2.ids == std::vector<int>{2, 3} ||
                      top2.ids == std::vector<int>{3, 4};
@@ -97,7 +98,7 @@ TEST(TupleUTopKTest, DispatchesToEnumerationWithRules) {
   for (int trial = 0; trial < 10; ++trial) {
     TupleRelation rel = testing_util::RandomSmallTuple(rng, 8);
     for (int k : {1, 3}) {
-      const UTopKAnswer ans = TupleUTopK(rel, k);
+      const UTopKAnswer ans = TupleUTopK(Prepared(rel), k);
       double best = 0.0;
       for (const auto& [ids, prob] : TupleTopKSetProbabilities(rel, k)) {
         best = std::max(best, prob);
@@ -112,7 +113,7 @@ TEST(AttrUTopKTest, ProbabilityIsAchievedByReportedSet) {
   for (int trial = 0; trial < 10; ++trial) {
     AttrRelation rel = testing_util::RandomSmallAttr(rng, 5, 3);
     for (int k : {1, 2, 3}) {
-      const UTopKAnswer ans = AttrUTopK(rel, k);
+      const UTopKAnswer ans = AttrUTopK(Prepared(rel), k);
       const auto sets = AttrTopKSetProbabilities(rel, k);
       const auto it = sets.find(ans.ids);
       ASSERT_NE(it, sets.end());
@@ -238,7 +239,7 @@ TEST(TupleUTopKIndependentTest, KLargerThanN) {
 TEST(AttrUTopKTest, KLargerThanNIsTheFullOrdering) {
   // Attribute-level worlds always contain all N tuples, so the top-k for
   // k >= N is the most likely complete ordering.
-  const UTopKAnswer answer = AttrUTopK(PaperFig2(), 5);
+  const UTopKAnswer answer = AttrUTopK(Prepared(PaperFig2()), 5);
   EXPECT_EQ(answer.ids.size(), 3u);
   // Most likely ordering: world (70,92,85) with prob .36 -> (t2,t3,t1).
   EXPECT_EQ(answer.ids, (std::vector<int>{2, 3, 1}));
@@ -253,8 +254,8 @@ TEST(TupleUTopKWithRulesTest, EmptyRelation) {
 }
 
 TEST(UTopKDeathTest, RejectsBadArguments) {
-  EXPECT_DEATH(AttrUTopK(PaperFig2(), 0), "k must be >= 1");
-  EXPECT_DEATH(TupleUTopK(PaperFig4(), 0), "k must be >= 1");
+  EXPECT_DEATH(AttrUTopK(Prepared(PaperFig2()), 0), "k must be >= 1");
+  EXPECT_DEATH(TupleUTopK(Prepared(PaperFig4()), 0), "k must be >= 1");
   EXPECT_DEATH(TupleUTopKIndependent(PaperFig4(), 1), "singleton rules");
   EXPECT_DEATH(TupleUTopKWithRules(PaperFig4(), 0), "k must be >= 1");
 }

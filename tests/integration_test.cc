@@ -17,10 +17,13 @@
 #include "gen/attr_gen.h"
 #include "gen/tuple_gen.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 #include "util/rank_metrics.h"
 
 namespace urank {
 namespace {
+
+using testing_util::Prepared;
 
 TEST(IntegrationTest, AttrPipelineAtScale) {
   AttrGenConfig config;
@@ -29,14 +32,14 @@ TEST(IntegrationTest, AttrPipelineAtScale) {
   config.seed = 11;
   AttrRelation rel = GenerateAttrRelation(config);
 
-  const std::vector<double> fast = AttrExpectedRanks(rel);
+  const std::vector<double> fast = AttrExpectedRanks(Prepared(rel));
   const std::vector<double> brute = AttrExpectedRanksBruteForce(rel);
   ASSERT_EQ(fast.size(), brute.size());
   for (size_t i = 0; i < fast.size(); ++i) {
     ASSERT_NEAR(fast[i], brute[i], 1e-6);
   }
 
-  const auto topk = AttrExpectedRankTopK(rel, 20);
+  const auto topk = AttrExpectedRankTopK(Prepared(rel), 20);
   EXPECT_EQ(topk.size(), 20u);
   const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, 20);
   EXPECT_LE(pruned.accessed, rel.size());
@@ -51,13 +54,13 @@ TEST(IntegrationTest, TuplePipelineAtScale) {
   config.seed = 12;
   TupleRelation rel = GenerateTupleRelation(config);
 
-  const std::vector<double> fast = TupleExpectedRanks(rel);
+  const std::vector<double> fast = TupleExpectedRanks(Prepared(rel));
   const std::vector<double> brute = TupleExpectedRanksBruteForce(rel);
   for (size_t i = 0; i < fast.size(); i += 97) {  // spot-check
     ASSERT_NEAR(fast[i], brute[i], 1e-6);
   }
 
-  const auto exact = TupleExpectedRankTopK(rel, 50);
+  const auto exact = TupleExpectedRankTopK(Prepared(rel), 50);
   const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, 50);
   ASSERT_EQ(pruned.topk.size(), exact.size());
   for (size_t i = 0; i < exact.size(); ++i) {
@@ -75,12 +78,12 @@ TEST(IntegrationTest, RankSemanticsFamilyAgreesOnDominantTuple) {
     tuples.push_back({i, 500.0 - i, 0.5});
   }
   TupleRelation rel = TupleRelation::Independent(std::move(tuples));
-  EXPECT_EQ(TupleExpectedRankTopK(rel, 1)[0].id, 0);
-  EXPECT_EQ(TupleQuantileRankTopK(rel, 1, 0.5)[0].id, 0);
-  EXPECT_EQ(TupleGlobalTopK(rel, 1)[0], 0);
-  EXPECT_EQ(TupleUKRanks(rel, 1)[0], 0);
-  EXPECT_EQ(TupleUTopK(rel, 1).ids, (std::vector<int>{0}));
-  EXPECT_EQ(TupleExpectedScoreTopK(rel, 1)[0].id, 0);
+  EXPECT_EQ(TupleExpectedRankTopK(Prepared(rel), 1)[0].id, 0);
+  EXPECT_EQ(TupleQuantileRankTopK(Prepared(rel), 1, 0.5)[0].id, 0);
+  EXPECT_EQ(TupleGlobalTopK(Prepared(rel), 1)[0], 0);
+  EXPECT_EQ(TupleUKRanks(Prepared(rel), 1)[0], 0);
+  EXPECT_EQ(TupleUTopK(Prepared(rel), 1).ids, (std::vector<int>{0}));
+  EXPECT_EQ(TupleExpectedScoreTopK(Prepared(rel), 1)[0].id, 0);
 }
 
 TEST(IntegrationTest, ExpectedAndMedianRanksCorrelateOnGeneratedData) {
@@ -89,8 +92,8 @@ TEST(IntegrationTest, ExpectedAndMedianRanksCorrelateOnGeneratedData) {
   config.seed = 13;
   TupleRelation rel = GenerateTupleRelation(config);
   const int k = 30;
-  const auto er = IdsOf(TupleExpectedRankTopK(rel, k));
-  const auto mr = IdsOf(TupleQuantileRankTopK(rel, k, 0.5));
+  const auto er = IdsOf(TupleExpectedRankTopK(Prepared(rel), k));
+  const auto mr = IdsOf(TupleQuantileRankTopK(Prepared(rel), k, 0.5));
   EXPECT_GE(TopKOverlap(er, mr), 0.5);
 }
 
@@ -100,9 +103,9 @@ TEST(IntegrationTest, KendallDistanceBetweenSemanticsIsWellFormed) {
   config.seed = 14;
   TupleRelation rel = GenerateTupleRelation(config);
   const int n = rel.size();
-  const auto er = IdsOf(TupleExpectedRankTopK(rel, n));
-  const auto mr = IdsOf(TupleQuantileRankTopK(rel, n, 0.5));
-  const auto es = IdsOf(TupleExpectedScoreTopK(rel, n));
+  const auto er = IdsOf(TupleExpectedRankTopK(Prepared(rel), n));
+  const auto mr = IdsOf(TupleQuantileRankTopK(Prepared(rel), n, 0.5));
+  const auto es = IdsOf(TupleExpectedScoreTopK(Prepared(rel), n));
   const double d_er_mr = KendallTauDistance(er, mr);
   const double d_er_es = KendallTauDistance(er, es);
   EXPECT_GE(d_er_mr, 0.0);
@@ -122,7 +125,7 @@ TEST(IntegrationTest, PTkThresholdSweepNestsAnswers) {
   std::vector<int> prev;
   bool first = true;
   for (double threshold : {0.9, 0.7, 0.5, 0.3, 0.1}) {
-    std::vector<int> cur = TuplePTk(rel, 10, threshold);
+    std::vector<int> cur = TuplePTk(Prepared(rel), 10, threshold);
     std::sort(cur.begin(), cur.end());
     if (!first) {
       // Lower thresholds can only add tuples.
@@ -142,9 +145,9 @@ TEST(IntegrationTest, QuantileRanksBoundExpectedRankNeighbourhood) {
   config.num_tuples = 400;
   config.seed = 16;
   TupleRelation rel = GenerateTupleRelation(config);
-  const auto q25 = TupleQuantileRanks(rel, 0.25);
-  const auto q75 = TupleQuantileRanks(rel, 0.75);
-  const auto er = TupleExpectedRanks(rel, TiePolicy::kBreakByIndex);
+  const auto q25 = TupleQuantileRanks(Prepared(rel), 0.25);
+  const auto q75 = TupleQuantileRanks(Prepared(rel), 0.75);
+  const auto er = TupleExpectedRanks(Prepared(rel), TiePolicy::kBreakByIndex);
   int er_within = 0;
   for (int i = 0; i < rel.size(); ++i) {
     ASSERT_LE(q25[static_cast<size_t>(i)], q75[static_cast<size_t>(i)]);
@@ -164,7 +167,7 @@ TEST(IntegrationTest, ZipfWorkloadEndToEnd) {
   config.zipf_theta = 1.1;
   config.seed = 17;
   AttrRelation rel = GenerateAttrRelation(config);
-  const auto topk = AttrExpectedRankTopK(rel, 10);
+  const auto topk = AttrExpectedRankTopK(Prepared(rel), 10);
   EXPECT_EQ(topk.size(), 10u);
   // Sanity: the best expected rank beats the relation's average.
   EXPECT_LT(topk[0].statistic, rel.size() / 2.0);

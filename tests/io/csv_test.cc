@@ -17,6 +17,7 @@ namespace {
 
 using testing_util::PaperFig2;
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 
 std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -46,8 +47,8 @@ TEST(AttrCsvTest, RoundTripPreservesQueryAnswers) {
   AttrRelation loaded;
   std::string error;
   ASSERT_TRUE(ReadAttrRelation(buffer, &loaded, &error)) << error;
-  EXPECT_EQ(IdsOf(AttrExpectedRankTopK(loaded, 10)),
-            IdsOf(AttrExpectedRankTopK(original, 10)));
+  EXPECT_EQ(IdsOf(AttrExpectedRankTopK(Prepared(loaded), 10)),
+            IdsOf(AttrExpectedRankTopK(Prepared(original), 10)));
 }
 
 TEST(AttrCsvTest, ParsesHandWrittenInput) {
@@ -104,8 +105,8 @@ TEST(TupleCsvTest, RoundTripThroughStreams) {
   EXPECT_EQ(loaded.rule_of(1), loaded.rule_of(3));
   EXPECT_NE(loaded.rule_of(0), loaded.rule_of(1));
   // And the query answers match.
-  EXPECT_EQ(IdsOf(TupleExpectedRankTopK(loaded, 4)),
-            IdsOf(TupleExpectedRankTopK(original, 4)));
+  EXPECT_EQ(IdsOf(TupleExpectedRankTopK(Prepared(loaded), 4)),
+            IdsOf(TupleExpectedRankTopK(Prepared(original), 4)));
 }
 
 TEST(TupleCsvTest, RoundTripGeneratedRelation) {
@@ -120,8 +121,8 @@ TEST(TupleCsvTest, RoundTripGeneratedRelation) {
   std::string error;
   ASSERT_TRUE(ReadTupleRelation(buffer, &loaded, &error)) << error;
   EXPECT_EQ(loaded.num_rules(), original.num_rules());
-  EXPECT_EQ(IdsOf(TupleExpectedRankTopK(loaded, 20)),
-            IdsOf(TupleExpectedRankTopK(original, 20)));
+  EXPECT_EQ(IdsOf(TupleExpectedRankTopK(Prepared(loaded), 20)),
+            IdsOf(TupleExpectedRankTopK(Prepared(original), 20)));
 }
 
 TEST(TupleCsvTest, ParsesRuleLabels) {

@@ -5,9 +5,12 @@
 
 #include "core/expected_rank_attr.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace urank {
 namespace {
+
+using testing_util::Prepared;
 
 TEST(UniformScorePdfTest, CdfQuantileMean) {
   UniformScorePdf pdf(10.0, 20.0);
@@ -96,7 +99,7 @@ TEST(DiscretizeToTupleTest, StochasticOrderIsPreserved) {
   for (int buckets : {1, 4, 16}) {
     AttrRelation rel({DiscretizeToTuple(0, GaussianScorePdf(60.0, 5.0), buckets),
                       DiscretizeToTuple(1, GaussianScorePdf(40.0, 5.0), buckets)});
-    const auto top = AttrExpectedRankTopK(rel, 2);
+    const auto top = AttrExpectedRankTopK(Prepared(rel), 2);
     EXPECT_EQ(top[0].id, 0) << "buckets=" << buckets;
   }
 }
@@ -111,7 +114,7 @@ TEST(DiscretizeToTupleTest, RankingConvergesWithResolution) {
         DiscretizeToTuple(1, TriangularScorePdf(30.0, 55.0, 70.0), buckets),
         DiscretizeToTuple(2, UniformScorePdf(20.0, 90.0), buckets),
     });
-    return AttrExpectedRanks(rel);
+    return AttrExpectedRanks(Prepared(rel));
   };
   const auto reference = ranks_at(512);
   const auto coarse = ranks_at(4);

@@ -14,6 +14,7 @@ namespace urank {
 namespace {
 
 using testing_util::PaperFig2;
+using testing_util::Prepared;
 using testing_util::RandomSmallAttr;
 
 TEST(ModelBridgeTest, StructureOfFig2Bridge) {
@@ -84,9 +85,10 @@ TEST(ModelBridgeTest, RankingDoesNotReduceAcrossTheBridge) {
   // alternative (100, 0.4) has r = 0.4*0 + 0.6*3 = 1.8 (when absent it
   // trails a full 3-tuple world).
   const AttrToTupleBridge bridge = BridgeAttrToTuple(PaperFig2());
-  const std::vector<double> bridged = TupleExpectedRanks(bridge.relation);
+  const std::vector<double> bridged =
+      TupleExpectedRanks(Prepared(bridge.relation));
   EXPECT_NEAR(bridged[0], 1.8, 1e-12);
-  const std::vector<double> attr = AttrExpectedRanks(PaperFig2());
+  const std::vector<double> attr = AttrExpectedRanks(Prepared(PaperFig2()));
   EXPECT_NEAR(attr[0], 1.2, 1e-12);
   EXPECT_GT(bridged[0], attr[0] + 0.5);
 }

@@ -109,6 +109,23 @@ TEST(Server, CacheHitMissBypassThroughTheWireSurface) {
   EXPECT_EQ(Call(&server, fresh_default).cache, CacheOutcome::kHit);
 }
 
+TEST(Server, HugeKIsAnInvalidKStatusAndServingContinues) {
+  // The wire accepts any int for k. k > N must come back as code 1
+  // ("invalid-k") instead of sizing U-Topk's O(N·k) table or U-kRanks'
+  // k-long rows from the request, and the server keeps answering.
+  Server server(InlineOptions());
+  server.AddRelation("rel", SmallRelation());
+  for (const char* semantics : {"u-topk", "u-kranks"}) {
+    const std::string line =
+        std::string(R"({"v":1,"type":"query","id":2,"relation":"rel",)") +
+        R"("semantics":")" + semantics + R"(","k":2147483647})";
+    const ParsedResponse response = Call(&server, line);
+    EXPECT_EQ(response.code, QueryStatusCode::kInvalidK) << semantics;
+    EXPECT_EQ(WireValue(response.code), 1) << semantics;
+  }
+  EXPECT_EQ(Call(&server, kQueryLine).code, QueryStatusCode::kOk);
+}
+
 TEST(Server, ReloadBumpsEpochAndInvalidatesCachedResults) {
   Server server(InlineOptions());
   server.AddRelation("rel", SmallRelation());

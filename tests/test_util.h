@@ -7,8 +7,10 @@
 #define URANK_TESTS_TEST_UTIL_H_
 
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/engine/prepared_relation.h"
 #include "gtest/gtest.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
@@ -99,6 +101,16 @@ inline TupleRelation RandomSmallTuple(Rng& rng, int n, int value_grid = 12) {
     pos = end;
   }
   return TupleRelation(std::move(tuples), std::move(rules));
+}
+
+// Prepared state for a relation, the only input the per-semantics
+// statistic and top-k functions take: Prepared(rel) reads like the
+// relation it wraps at a call site such as AttrPTk(Prepared(rel), k, p).
+inline PreparedAttrRelation Prepared(AttrRelation rel) {
+  return PreparedAttrRelation(std::move(rel));
+}
+inline PreparedTupleRelation Prepared(TupleRelation rel) {
+  return PreparedTupleRelation(std::move(rel));
 }
 
 // EXPECT element-wise closeness of two double sequences. `actual` is a

@@ -20,6 +20,7 @@ namespace {
 
 using testing_util::PaperFig2;
 using testing_util::PaperFig4;
+using testing_util::Prepared;
 
 const std::vector<double> kPmf = {0.25, 0.25, 0.5};
 
@@ -52,11 +53,12 @@ TEST(QuantilePhiBoundaryDeathTest, NonFinitePhiAborts) {
                "phi must be in \\(0,1\\]");
 }
 
-// The relation-level entry points validate phi up front, before any DP
-// work, so a bad phi aborts even on inputs where no pmf is ever built.
+// The relation-level entry points (the prepared-state statistic and
+// top-k functions) validate phi up front, before any DP work, so a bad
+// phi aborts even on inputs where no pmf is ever built.
 TEST(QuantilePhiBoundaryDeathTest, RelationEntryPointsValidateUpFront) {
-  const AttrRelation attr = PaperFig2();
-  const TupleRelation tuple = PaperFig4();
+  const PreparedAttrRelation attr = Prepared(PaperFig2());
+  const PreparedTupleRelation tuple = Prepared(PaperFig4());
   EXPECT_DEATH(AttrQuantileRanks(attr, 0.0), "phi must be in \\(0,1\\]");
   EXPECT_DEATH(TupleQuantileRanks(tuple, 0.0), "phi must be in \\(0,1\\]");
   EXPECT_DEATH(AttrQuantileRankTopK(attr, 1, 1.5), "phi must be in \\(0,1\\]");
@@ -66,8 +68,8 @@ TEST(QuantilePhiBoundaryDeathTest, RelationEntryPointsValidateUpFront) {
 
 TEST(QuantilePhiBoundaryTest, RelationEntryPointsAcceptTheClosedTop) {
   // phi = 1 flows through both models end to end.
-  EXPECT_EQ(AttrQuantileRanks(PaperFig2(), 1.0).size(), 3u);
-  EXPECT_EQ(TupleQuantileRanks(PaperFig4(), 1.0).size(), 4u);
+  EXPECT_EQ(AttrQuantileRanks(Prepared(PaperFig2()), 1.0).size(), 3u);
+  EXPECT_EQ(TupleQuantileRanks(Prepared(PaperFig4()), 1.0).size(), 4u);
 }
 
 }  // namespace

@@ -23,13 +23,13 @@ cannot see:
                    and the bench_runner snapshots stay greppable and
                    self-describing (see docs/OBSERVABILITY.md).
   engine-api       outside src/core/, queries go through the QueryEngine
-                   (core/engine/query_engine.h) or the legacy facade
-                   (core/query.h); direct includes of the per-semantics
-                   headers (core/semantics/*, core/expected_rank_*.h,
-                   core/quantile_rank.h) from other src/ subsystems or
-                   examples/ are flagged. Suppress only where an example
-                   deliberately showcases the richer per-semantics result
-                   types.
+                   (core/engine/query_engine.h); direct includes of the
+                   per-semantics headers (core/semantics/*,
+                   core/expected_rank_*.h, core/quantile_rank.h) from other
+                   src/ subsystems or examples/ are flagged. Suppress only
+                   where an example deliberately shows a paper algorithm
+                   the engine does not route (T-ERank-Prune,
+                   A-ERank-Prune), and name that algorithm in the comment.
   kernel-vectorize the hot DP kernel files must not hand-roll elementwise
                    array sweeps or indexed reductions inside for/while
                    bodies: those inner loops belong behind the dispatch
@@ -195,8 +195,7 @@ SEMANTICS_INCLUDE_RE = re.compile(
 
 def check_engine_api(root, findings):
     """Per-semantics headers are core-internal: other subsystems and the
-    examples query through core/engine/query_engine.h (or the core/query.h
-    facade)."""
+    examples query through core/engine/query_engine.h."""
     paths = []
     for path in iter_files(root, "src", {".h", ".cc"}):
         rel = relpath(root, path).replace(os.sep, "/")
