@@ -10,6 +10,10 @@
 // E4 — answer quality: precision and recall of the pruned
 // (curtailed-prefix surrogate) top-k against the exact top-k.
 //
+// A-ERank-Prune is approximate, so it is the explicit prepared-state call
+// (it walks PreparedAttrRelation::escore_order()), never QueryRequest::
+// prune; "accessed" is its tuples_scanned.
+//
 // Paper shape: pruning saves a large fraction of accesses on skewed data
 // and grows mildly with k; the surrogate answer is almost always the exact
 // top-k (recall ~1).
@@ -80,16 +84,15 @@ void RunExperiment() {
                 {"score dist", "k", "recall", "precision"});
 
   for (const Workload& workload : Workloads()) {
-    AttrRelation rel = GenerateAttrRelation(workload.config);
+    const PreparedAttrRelation prepared(GenerateAttrRelation(workload.config));
     for (int k : ks) {
-      const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, k);
-      const std::vector<int> exact =
-          IdsOf(AttrExpectedRankTopK(PreparedAttrRelation(rel), k));
+      const PrunedTopKResult pruned = AttrExpectedRankTopKPrune(prepared, k);
+      const std::vector<int> exact = IdsOf(AttrExpectedRankTopK(prepared, k));
       const std::vector<int> approx = IdsOf(pruned.topk);
-      accessed.AddRow({workload.name, FormatInt(k),
-                       FormatInt(pruned.accessed),
-                       FormatDouble(static_cast<double>(pruned.accessed) / kN,
-                                    3)});
+      accessed.AddRow(
+          {workload.name, FormatInt(k), FormatInt(pruned.tuples_scanned),
+           FormatDouble(static_cast<double>(pruned.tuples_scanned) / kN,
+                        3)});
       quality.AddRow({workload.name, FormatInt(k),
                       FormatDouble(RecallAgainst(approx, exact), 3),
                       FormatDouble(PrecisionAgainst(approx, exact), 3)});
@@ -105,13 +108,13 @@ void RunExperiment() {
   Table clamped("A2: faithful vs clamped Markov bounds (k = 20)",
                 {"score dist", "faithful accessed", "clamped accessed"});
   for (const Workload& workload : Workloads()) {
-    AttrRelation rel = GenerateAttrRelation(workload.config);
-    const AttrPruneResult faithful =
-        AttrExpectedRankTopKPrune(rel, 20, /*clamp_tail_bounds=*/false);
-    const AttrPruneResult tight =
-        AttrExpectedRankTopKPrune(rel, 20, /*clamp_tail_bounds=*/true);
-    clamped.AddRow({workload.name, FormatInt(faithful.accessed),
-                    FormatInt(tight.accessed)});
+    const PreparedAttrRelation prepared(GenerateAttrRelation(workload.config));
+    const PrunedTopKResult faithful =
+        AttrExpectedRankTopKPrune(prepared, 20, /*clamp_tail_bounds=*/false);
+    const PrunedTopKResult tight =
+        AttrExpectedRankTopKPrune(prepared, 20, /*clamp_tail_bounds=*/true);
+    clamped.AddRow({workload.name, FormatInt(faithful.tuples_scanned),
+                    FormatInt(tight.tuples_scanned)});
   }
   std::printf("\n");
   clamped.Print();

@@ -15,30 +15,35 @@
 #include <vector>
 
 #include "core/engine/query_engine.h"
-// T-ERank-Prune, which the engine does not route:
-// urank-lint: allow(engine-api)
-#include "core/expected_rank_tuple.h"
 #include "gen/tuple_gen.h"
 #include "model/tuple_model.h"
 #include "util/rng.h"
 
 namespace {
 
-// Top-k answer of one query; aborts the demo on a non-ok status.
-urank::RankingAnswer TopK(const urank::QueryEngine& engine,
-                          urank::RankingSemantics semantics, int k,
-                          urank::TiePolicy ties) {
+// One top-k query; aborts the demo on a non-ok status.
+urank::QueryResult Run(const urank::QueryEngine& engine,
+                       urank::RankingSemantics semantics, int k,
+                       urank::TiePolicy ties, bool prune = false) {
   urank::QueryRequest request;
   request.options.semantics = semantics;
   request.options.k = k;
   request.options.ties = ties;
+  request.prune = prune;
   urank::QueryResult result = engine.Run(request);
   if (!result.status.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  result.status.message.c_str());
     std::exit(1);
   }
-  return std::move(result.answer);
+  return result;
+}
+
+// Top-k answer of one query.
+urank::RankingAnswer TopK(const urank::QueryEngine& engine,
+                          urank::RankingSemantics semantics, int k,
+                          urank::TiePolicy ties) {
+  return Run(engine, semantics, k, ties).answer;
 }
 
 // Builds the merged catalogue: `records` source records, each producing
@@ -110,11 +115,14 @@ int main() {
 
   // The pruned algorithm (T-ERank-Prune, paper Section 6.2) reads matches
   // in score order and stops early — the access pattern a disk- or
-  // network-resident catalogue wants.
-  const urank::TuplePruneResult pruned =
-      urank::TupleExpectedRankTopKPrune(catalogue, k);
+  // network-resident catalogue wants. QueryRequest::prune selects it; a
+  // fresh engine keeps the memoized ranks above from answering instead.
+  const urank::QueryResult pruned =
+      Run(urank::QueryEngine(catalogue), urank::RankingSemantics::kExpectedRank,
+          k, urank::TiePolicy::kStrictGreater, /*prune=*/true);
   std::printf(
-      "\nT-ERank-Prune touched %d of %d matches (answer is exact).\n",
-      pruned.accessed, catalogue.size());
+      "\nT-ERank-Prune touched %lld of %d matches (answer is %s).\n",
+      pruned.stats.tuples_scanned, catalogue.size(),
+      pruned.answer.ids == by_rank.ids ? "exact" : "DIFFERENT");
   return 0;
 }

@@ -14,7 +14,7 @@
 #include <utility>
 
 #include "core/engine/query_engine.h"
-// A-ERank-Prune, which the engine does not route:
+// A-ERank-Prune, which is approximate and so never QueryRequest::prune:
 // urank-lint: allow(engine-api)
 #include "core/expected_rank_attr.h"
 #include "model/attr_model.h"
@@ -101,11 +101,12 @@ int main() {
 
   // Pruned evaluation (A-ERank-Prune, paper Section 5.2): sensors stream
   // in expected-temperature order; the Markov bounds stop the scan early.
-  const urank::AttrPruneResult pruned =
-      urank::AttrExpectedRankTopKPrune(field, k);
+  // It walks the engine's prepared expected-score order.
+  const urank::PrunedTopKResult pruned =
+      urank::AttrExpectedRankTopKPrune(*engine.attr(), k);
   std::printf(
-      "\nA-ERank-Prune answered the top-%d after touching %d of %d "
+      "\nA-ERank-Prune answered the top-%d after touching %lld of %d "
       "sensors.\n",
-      k, pruned.accessed, field.size());
+      k, pruned.tuples_scanned, field.size());
   return 0;
 }

@@ -130,10 +130,10 @@ long long AttrDpCells(const PreparedAttrRelation& p,
   }
 }
 
-long long TupleDpCells(const PreparedTupleRelation& p,
+// `n` is the relation size for a full run and tuples_scanned for a pruned
+// one.
+long long TupleDpCells(long long n, long long m,
                        const RankingQueryOptions& q) {
-  const long long n = p.size();
-  const long long m = p.relation().num_rules();
   switch (q.semantics) {
     case RankingSemantics::kExpectedRank:
     case RankingSemantics::kExpectedScore:
@@ -154,10 +154,33 @@ long long TupleDpCells(const PreparedTupleRelation& p,
 // warmed cache — so answers are bit-identical for any ParallelismOptions.
 // Semantics without a parallel kernel (linear scans, world enumeration)
 // run serially and leave `report` untouched.
-// `prune` is set only for kMedianRank/kQuantileRank cache misses with
-// QueryRequest::prune: the pruned top-k kernels return the identical
-// answer while scanning a prefix of the expected-score order, and record
-// how far they got into `stats`.
+// `prune` is set only on statistic-cache misses with QueryRequest::prune
+// for a semantics Prunes() accepts: the pruned top-k kernels return the
+// identical answer while scanning a prefix of the stream order, and
+// record how far they got into `stats`.
+bool Prunes(bool attr, RankingSemantics s) {
+  switch (s) {
+    case RankingSemantics::kMedianRank:
+    case RankingSemantics::kQuantileRank:
+      return true;
+    case RankingSemantics::kExpectedRank:
+    case RankingSemantics::kPTk:
+    case RankingSemantics::kGlobalTopk:
+    case RankingSemantics::kUKRanks:
+      return !attr;
+    case RankingSemantics::kUTopk:
+    case RankingSemantics::kExpectedScore:
+      return false;
+  }
+  return false;
+}
+
+RankingAnswer FromPruned(PrunedTopKResult pruned, QueryStats* stats) {
+  stats->tuples_scanned = pruned.tuples_scanned;
+  stats->prune_stop_position = pruned.prune_stop_position;
+  return FromRanked(pruned.topk);
+}
+
 RankingAnswer RunAttr(const PreparedAttrRelation& p,
                       const RankingQueryOptions& q,
                       const ParallelismOptions& par, KernelReport* report,
@@ -170,11 +193,9 @@ RankingAnswer RunAttr(const PreparedAttrRelation& p,
       const double phi =
           q.semantics == RankingSemantics::kMedianRank ? 0.5 : q.phi;
       if (prune) {
-        PrunedTopKResult pruned =
-            AttrQuantileRankTopKPrune(p, q.k, phi, q.ties, par, report);
-        stats->tuples_scanned = pruned.tuples_scanned;
-        stats->prune_stop_position = pruned.prune_stop_position;
-        return FromRanked(std::move(pruned.topk));
+        return FromPruned(
+            AttrQuantileRankTopKPrune(p, q.k, phi, q.ties, par, report),
+            stats);
       }
       AttrQuantileRanks(p, phi, q.ties, par, report);
       return FromRanked(AttrQuantileRankTopK(p, q.k, phi, q.ties));
@@ -205,10 +226,40 @@ RankingAnswer RunAttr(const PreparedAttrRelation& p,
   return {};
 }
 
+// The pruned tuple-level top-k of `q` (Prunes(false, q.semantics)).
+PrunedTopKResult RunTuplePruned(const PreparedTupleRelation& p,
+                                const RankingQueryOptions& q) {
+  switch (q.semantics) {
+    case RankingSemantics::kExpectedRank:
+      return TupleExpectedRankTopKPrune(p, q.k, q.ties);
+    case RankingSemantics::kMedianRank:
+      return TupleQuantileRankTopKPrune(p, q.k, 0.5, q.ties);
+    case RankingSemantics::kQuantileRank:
+      return TupleQuantileRankTopKPrune(p, q.k, q.phi, q.ties);
+    case RankingSemantics::kPTk:
+      return TuplePTkPrune(p, q.k, q.threshold, q.ties);
+    case RankingSemantics::kGlobalTopk:
+      return TupleGlobalTopKPrune(p, q.k, q.ties);
+    case RankingSemantics::kUKRanks:
+      return TupleUKRanksPrune(p, q.k, q.ties);
+    case RankingSemantics::kUTopk:
+    case RankingSemantics::kExpectedScore:
+      break;
+  }
+  URANK_CHECK_MSG(false, "semantics has no pruned kernel");
+  return {};
+}
+
 RankingAnswer RunTuple(const PreparedTupleRelation& p,
                        const RankingQueryOptions& q,
                        const ParallelismOptions& par, KernelReport* report,
                        bool prune, QueryStats* stats) {
+  if (prune) {
+    RankingAnswer answer = FromPruned(RunTuplePruned(p, q), stats);
+    // U-kRanks answers carry winner ids only, like the unpruned path.
+    if (q.semantics == RankingSemantics::kUKRanks) answer.statistics.clear();
+    return answer;
+  }
   switch (q.semantics) {
     case RankingSemantics::kExpectedRank:
       return FromRanked(TupleExpectedRankTopK(p, q.k, q.ties, par, report));
@@ -216,13 +267,6 @@ RankingAnswer RunTuple(const PreparedTupleRelation& p,
     case RankingSemantics::kQuantileRank: {
       const double phi =
           q.semantics == RankingSemantics::kMedianRank ? 0.5 : q.phi;
-      if (prune) {
-        PrunedTopKResult pruned =
-            TupleQuantileRankTopKPrune(p, q.k, phi, q.ties);
-        stats->tuples_scanned = pruned.tuples_scanned;
-        stats->prune_stop_position = pruned.prune_stop_position;
-        return FromRanked(std::move(pruned.topk));
-      }
       TupleQuantileRanks(p, phi, q.ties, par, report);
       return FromRanked(TupleQuantileRankTopK(p, q.k, phi, q.ties));
     }
@@ -463,14 +507,12 @@ QueryResult QueryEngine::RunResolved(const QueryRequest& request,
   }
 
   const bool has_key = query.semantics != RankingSemantics::kUTopk;
-  // Pruned execution applies to the quantile family only, and only on a
-  // statistic-cache miss: a warmed memo makes the unpruned selection a
-  // cheap cache hit, and a pruned run never populates the memo (it
-  // evaluates a scanned prefix, not the full vector).
+  // Pruned execution applies only on a statistic-cache miss: a warmed
+  // memo makes the unpruned selection a cheap cache hit, and a pruned run
+  // never populates the memo (it evaluates a scanned prefix, not the full
+  // vector).
   const bool want_prune =
-      request.prune &&
-      (query.semantics == RankingSemantics::kMedianRank ||
-       query.semantics == RankingSemantics::kQuantileRank);
+      request.prune && Prunes(resolved.attr != nullptr, query.semantics);
   KernelReport report;  // stays {1, 0} unless a parallel kernel ran
   {
     // Per-semantics kernel span; ToString returns a static literal, which
@@ -503,12 +545,14 @@ QueryResult QueryEngine::RunResolved(const QueryRequest& request,
       const bool prune = want_prune && !result.stats.reused_cache;
       result.answer =
           RunTuple(tuple, query, par, &report, prune, &result.stats);
-      const long long m = tuple.relation().num_rules();
+      // A pruned run pays its semantics' per-tuple cost on the scanned
+      // prefix only.
       result.stats.dp_cells =
           result.stats.reused_cache
               ? 0
-              : (prune ? 2 * result.stats.tuples_scanned * (m + 1)
-                       : TupleDpCells(tuple, query));
+              : TupleDpCells(prune ? result.stats.tuples_scanned
+                                   : tuple.size(),
+                             tuple.relation().num_rules(), query);
       result.stats.tuples_pruned =
           result.stats.reused_cache ? tuple.size() : 0;
     }

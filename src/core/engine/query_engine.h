@@ -151,13 +151,15 @@ struct QueryStats {
   // storage; never null. See docs/PERFORMANCE.md for the determinism
   // contract per target.
   const char* simd_target = "scalar";
-  // Tuples whose rank statistic the pruned quantile/median kernels
-  // actually evaluated before the stopping bound fired; 0 when no pruned
-  // kernel ran (prune not requested, other semantics, or a cache hit).
+  // Tuples whose statistic the pruned top-k kernel actually evaluated
+  // before the stopping bound fired; 0 when no pruned kernel ran (prune
+  // not requested, a semantics that ignores it, or a cache hit).
   long long tuples_scanned = 0;
-  // Expected-score-order position at which the pruned sweep stopped: the
-  // relation size when the bound never fired, -1 when no pruned kernel
-  // ran. tuples_scanned <= prune_stop_position always.
+  // Stream position at which the pruned scan stopped — into the rank order
+  // (score desc, index asc) for tuple-level runs, into the expected-score
+  // order for attribute-level ones: the relation size when the bound never
+  // fired, -1 when no pruned kernel ran. tuples_scanned <=
+  // prune_stop_position always.
   long long prune_stop_position = -1;
   // The epoch of the snapshot this query actually ran against: 0 for an
   // engine over static prepared state, the store's published epoch number
@@ -200,16 +202,19 @@ struct QueryRequest {
   double deadline_ms = 0.0;
   // Serve-layer result-cache policy (see CacheMode).
   CacheMode cache_mode = CacheMode::kDefault;
-  // Opt-in early-stopping for kMedianRank / kQuantileRank: run the pruned
-  // top-k kernels (core/quantile_rank.h), which sweep tuples in
-  // expected-score order and stop once the remaining suffix provably
-  // cannot enter the top-k. Answers are bit-identical to the unpruned
-  // kernels; only QueryStats (tuples_scanned, prune_stop_position,
-  // dp_cells) and the execution schedule change. A pruned run computes a
-  // top-k selection, not the full statistic vector, so it never populates
-  // the statistic memo — and when the memo already holds the vector, the
-  // cached (cheaper) path is served instead. Ignored for every other
-  // semantics.
+  // Opt-in early stopping: run the exact pruned top-k kernel, which scans
+  // tuples in stream order and stops once the remaining suffix provably
+  // cannot enter the answer. Honoured for tuple-level expected rank
+  // (T-ERank-Prune), median and quantile rank, PT-k, Global-Topk and
+  // U-kRanks (scanned in rank order), and for attribute-level median and
+  // quantile rank (scanned in expected-score order). Answers are
+  // bit-identical to the unpruned kernels; only QueryStats
+  // (tuples_scanned, prune_stop_position, dp_cells, threads_used) and the
+  // execution schedule change. A pruned run computes a top-k selection,
+  // not the full statistic vector, so it never populates the statistic
+  // memo — and when the memo already holds the vector, the cached
+  // (cheaper) path is served instead. Ignored by U-Topk, expected score,
+  // and attribute-level expected rank, PT-k, Global-Topk and U-kRanks.
   bool prune = false;
   // Minimum epoch this query may run against (read-your-writes gating for
   // mutable-backed engines): when the engine's latest published epoch is

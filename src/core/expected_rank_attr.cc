@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "core/access.h"
 #include "core/engine/prepared_relation.h"
 #include "core/internal/shard_plan.h"
 #include "core/internal/sorted_pdf.h"
@@ -164,9 +163,10 @@ std::vector<RankedTuple> AttrExpectedRankTopK(
                          AttrExpectedRanks(prepared, ties, par, report), k);
 }
 
-AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
-                                          bool clamp_tail_bounds) {
+PrunedTopKResult AttrExpectedRankTopKPrune(const PreparedAttrRelation& prepared,
+                                           int k, bool clamp_tail_bounds) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
+  const AttrRelation& rel = prepared.relation();
   for (const AttrTuple& t : rel.tuples()) {
     for (const ScoreValue& sv : t.pdf) {
       URANK_CHECK_MSG(sv.value > 0.0,
@@ -174,7 +174,7 @@ AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
     }
   }
   const int total = rel.size();
-  SortedAttrStream stream(rel);
+  const std::vector<SortedPdf>& all_pdfs = prepared.sorted_pdfs();
 
   // Markov tail mass of one tuple against threshold expectation e:
   // Σ_l p_l · (e / v_l), each term optionally clamped to its trivial
@@ -188,43 +188,44 @@ AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
     return sum;
   };
 
-  // State for seen tuples, in stream order.
-  std::vector<const AttrTuple*> seen;
-  std::vector<SortedPdf> pdfs;
-  std::vector<double> pair_sum;  // A_i = Σ_{seen j≠i} Pr[X_j > X_i]
-  std::vector<ScoreValue> sort_scratch;
-
-  while (stream.HasNext()) {
-    const AttrTuple& t = stream.Next();
-    SortedPdf pdf;
-    pdf.Build(t, &sort_scratch);
+  // State for seen tuples, in escore_order (expected score desc, index
+  // asc): their positions and A_i = Σ_{seen j≠i} Pr[X_j > X_i].
+  std::vector<int> seen;
+  std::vector<double> pair_sum;
+  for (const int i : prepared.escore_order()) {
+    const SortedPdf& pdf = all_pdfs[static_cast<size_t>(i)];
     double own_pairs = 0.0;
-    for (size_t j = 0; j < pdfs.size(); ++j) {
+    for (size_t j = 0; j < seen.size(); ++j) {
+      const SortedPdf& other = all_pdfs[static_cast<size_t>(seen[j])];
       // Each iteration is an O(s+s') sorted-pdf merge inside
       // PrGreaterPair, not an elementwise array sweep.
       // urank-lint: allow(kernel-vectorize)
-      pair_sum[j] += PrGreaterPair(pdf, pdfs[j]);
-      own_pairs += PrGreaterPair(pdfs[j], pdf);
+      pair_sum[j] += PrGreaterPair(pdf, other);
+      own_pairs += PrGreaterPair(other, pdf);
     }
-    seen.push_back(&t);
-    pdfs.push_back(std::move(pdf));
+    seen.push_back(i);
     pair_sum.push_back(own_pairs);
 
-    const int n = stream.accessed();
+    const int n = static_cast<int>(seen.size());
     if (n < k) continue;  // cannot have k candidates yet
     if (n == total) break;
 
-    // The stream is sorted by expected score, so E[X_n] bounds every unseen
+    // The order descends by expected score, so E[X_n] bounds every unseen
     // tuple's expectation; Markov gives Pr[X_u > v] <= E[X_n] / v.
-    const double expected_n = seen.back()->ExpectedScore();
+    const double expected_n =
+        prepared.expected_scores()[static_cast<size_t>(i)];
     double tail_sum = 0.0;  // Σ_{seen j} bound on Pr[X_j <= X_u]
-    for (const SortedPdf& p : pdfs) tail_sum += tail_bound(p, expected_n);
+    for (const int j : seen) {
+      tail_sum += tail_bound(all_pdfs[static_cast<size_t>(j)], expected_n);
+    }
     const double r_minus = static_cast<double>(n) - tail_sum;  // eq. (6)
     int below = 0;
-    for (size_t i = 0; i < pair_sum.size(); ++i) {
+    for (size_t j = 0; j < seen.size(); ++j) {
       const double r_plus =
-          pair_sum[i] + static_cast<double>(total - n) *
-                            tail_bound(pdfs[i], expected_n);  // eq. (5)
+          pair_sum[j] +
+          static_cast<double>(total - n) *
+              tail_bound(all_pdfs[static_cast<size_t>(seen[j])],
+                         expected_n);  // eq. (5)
       if (r_plus < r_minus) ++below;
     }
     if (below >= k) break;
@@ -234,7 +235,7 @@ AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
   // surrogate for the unknown full ranks).
   std::vector<AttrTuple> prefix;
   prefix.reserve(seen.size());
-  for (const AttrTuple* t : seen) prefix.push_back(*t);
+  for (const int i : seen) prefix.push_back(rel.tuple(i));
   AttrRelation curtailed(std::move(prefix));
   std::vector<double> ranks = ExpectedRanksWithUniverse(
       curtailed, internal::BuildValueUniverse(curtailed),
@@ -243,7 +244,11 @@ AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
   for (int i = 0; i < curtailed.size(); ++i) {
     ids[static_cast<size_t>(i)] = curtailed.tuple(i).id;
   }
-  return {TopKByStatistic(ids, ranks, k), stream.accessed()};
+  PrunedTopKResult result;
+  result.topk = TopKByStatistic(ids, ranks, k);
+  result.tuples_scanned = static_cast<long long>(seen.size());
+  result.prune_stop_position = result.tuples_scanned;
+  return result;
 }
 
 }  // namespace urank

@@ -7,11 +7,12 @@
 //   * AttrExpectedRanks — the A-ERank algorithm, O(N log N) for constant
 //     pdf size, via the value-universe decomposition of eq. (4);
 //   * AttrExpectedRankTopKPrune — the A-ERank-Prune algorithm (Section
-//     5.2), which consumes tuples in decreasing expected-score order and
-//     stops once the Markov-bound pruning condition of eqs. (5)–(6)
-//     guarantees the top-k lies within the scanned prefix. Its answer is
-//     the paper's surrogate: the exact top-k of the curtailed prefix, which
-//     approximates (usually equals) the true top-k.
+//     5.2), which walks the prepared expected-score order and stops once
+//     the Markov-bound pruning condition of eqs. (5)–(6) guarantees the
+//     top-k lies within the scanned prefix. Its answer is the paper's
+//     surrogate: the exact top-k of the curtailed prefix, which
+//     approximates (usually equals) the true top-k. Being approximate, it
+//     is an explicit call, never what QueryRequest::prune runs.
 
 #ifndef URANK_CORE_EXPECTED_RANK_ATTR_H_
 #define URANK_CORE_EXPECTED_RANK_ATTR_H_
@@ -54,25 +55,21 @@ std::vector<RankedTuple> AttrExpectedRankTopK(
     TiePolicy ties = TiePolicy::kStrictGreater,
     const ParallelismOptions& par = {}, KernelReport* report = nullptr);
 
-// Result of the pruned computation: the (approximate) top-k plus the
-// number of tuples retrieved from the sorted stream before the pruning
-// condition fired.
-struct AttrPruneResult {
-  std::vector<RankedTuple> topk;
-  int accessed = 0;
-};
-
-// A-ERank-Prune. Requires every score value to be strictly positive (the
-// Markov tail bounds of eqs. (5)–(6) need non-negative scores bounded away
-// from zero) and k >= 1. Uses the paper's rank definition
-// (TiePolicy::kStrictGreater).
+// A-ERank-Prune. Walks prepared.escore_order() (expected score desc,
+// index asc) and the prepared sorted pdfs; tuples_scanned is the number
+// of tuples accessed before the pruning condition fired, and topk the
+// curtailed-prefix surrogate. Requires every score value to be strictly
+// positive (the Markov tail bounds of eqs. (5)–(6) need non-negative
+// scores bounded away from zero) and k >= 1. Uses the paper's rank
+// definition (TiePolicy::kStrictGreater).
 //
 // `clamp_tail_bounds` selects the tightened variant (ablation A2): each
 // Markov term E[X_n]/v is a probability bound, so clamping it to
 // min(1, E[X_n]/v) keeps both eqs. (5) and (6) sound while pruning
 // earlier. false reproduces the paper's bounds verbatim.
-AttrPruneResult AttrExpectedRankTopKPrune(const AttrRelation& rel, int k,
-                                          bool clamp_tail_bounds = false);
+PrunedTopKResult AttrExpectedRankTopKPrune(
+    const PreparedAttrRelation& prepared, int k,
+    bool clamp_tail_bounds = false);
 
 }  // namespace urank
 

@@ -1,10 +1,8 @@
 #include "core/expected_rank_tuple.h"
 
-#include <queue>
-
-#include "core/access.h"
 #include "core/engine/prepared_relation.h"
 #include "core/internal/shard_plan.h"
+#include "core/internal/tuple_sweep.h"
 #include "util/check.h"
 #include "util/kernel_annotations.h"
 
@@ -63,11 +61,16 @@ namespace {
 // plan is the serial state at shard.begin bit for bit, and every read
 // below reproduces the serial kernel's reads (prefix_above from the global
 // prefix values, rule_above continued by the same additions in the same
-// order). Writes to `ranks` are disjoint across shards.
-URANK_KERNEL
-void ExpectedRanksShardSweep(const TupleRelation& rel,
-                             const internal::TupleShard& shard, TiePolicy ties,
-                             double ew, std::vector<double>* ranks) {
+// order). visit(i, rank) receives each tuple's expected rank; after every
+// equal-score run is flushed, stop(next_pos, flushed) is asked whether to
+// end the pass there, with next_pos the global rank-order position of the
+// next tuple and `flushed` the prefix mass of every tuple before it.
+// Returns true when stop ended the pass.
+template <typename Visit, typename Stop>
+URANK_KERNEL bool ExpectedRanksShardSweep(const TupleRelation& rel,
+                                          const internal::TupleShard& shard,
+                                          TiePolicy ties, double ew,
+                                          Visit&& visit, Stop&& stop) {
   std::vector<double> rule_above = shard.entry_rule_mass;
   const size_t len = shard.order.size();
   size_t pos = 0;
@@ -88,13 +91,9 @@ void ExpectedRanksShardSweep(const TupleRelation& rel,
       const TLTuple& ti = rel.tuple(i);
       const int r = rel.rule_of(i);
       const double same_other = rel.rule_prob_sum(r) - ti.prob;
-      // Scatter through the rank-order permutation with a data-dependent
-      // rule-id gather; the contiguous mass lives in the plan's prefix
-      // values, computed by the prefix-sum kernel at plan-build time.
-      // urank-lint: allow(kernel-vectorize)
-      (*ranks)[static_cast<size_t>(i)] = ExpectedRankFromMasses(
-          ti.prob, prefix_above, rule_above[static_cast<size_t>(r)],
-          same_other, ew);
+      visit(i, ExpectedRankFromMasses(ti.prob, prefix_above,
+                                      rule_above[static_cast<size_t>(r)],
+                                      same_other, ew));
     }
     for (size_t idx = pos; idx < end; ++idx) {
       const int i = shard.order[idx];
@@ -104,7 +103,11 @@ void ExpectedRanksShardSweep(const TupleRelation& rel,
       rule_above[static_cast<size_t>(rel.rule_of(i))] += rel.tuple(i).prob;
     }
     pos = end;
+    if (stop(shard.begin + static_cast<long long>(pos), shard.pref[pos - 1])) {
+      return true;
+    }
   }
+  return false;
 }
 
 }  // namespace
@@ -119,8 +122,16 @@ std::vector<double> TupleExpectedRanksSharded(
   const int workers = PlannedWorkers(par, static_cast<long long>(n));
   const ForRunInfo info = ParallelForPlaced(
       num_chunks, workers, par.placement, [&](int chunk, int /*slot*/) {
-        ExpectedRanksShardSweep(rel, plan.shards[static_cast<size_t>(chunk)],
-                                ties, ew, &ranks);
+        ExpectedRanksShardSweep(
+            rel, plan.shards[static_cast<size_t>(chunk)], ties, ew,
+            [&ranks](int i, double rank) {
+              // Scatter through the rank-order permutation; the
+              // contiguous mass lives in the plan's prefix values,
+              // computed by the prefix-sum kernel at plan-build time.
+              // urank-lint: allow(kernel-vectorize)
+              ranks[static_cast<size_t>(i)] = rank;
+            },
+            [](long long, double) { return false; });
       });
   if (report != nullptr) {
     KernelReport kr;
@@ -154,72 +165,36 @@ std::vector<RankedTuple> TupleExpectedRankTopK(
                          TupleExpectedRanks(prepared, ties, par, report), k);
 }
 
-TuplePruneResult TupleExpectedRankTopKPrune(const TupleRelation& rel, int k,
-                                            TiePolicy ties) {
+PrunedTopKResult TupleExpectedRankTopKPrune(
+    const PreparedTupleRelation& prepared, int k, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  SortedTupleStream stream(rel);
-  const double ew = stream.expected_world_size();
-
-  std::vector<int> seen_ids;
-  std::vector<double> seen_ranks;
-  // Max-heap over the k smallest exact ranks seen so far.
-  std::priority_queue<double> worst_of_best;
-
-  std::vector<double> rule_above(static_cast<size_t>(rel.num_rules()), 0.0);
-  double prefix_above = 0.0;  // flushed mass: ranked above the current run
-  // Pending tuples of the current equal-score run (strict policy only).
-  std::vector<int> pending;
-  double pending_score = 0.0;
-
-  auto flush_pending = [&]() {
-    for (int i : pending) {
-      prefix_above += rel.tuple(i).prob;
-      rule_above[static_cast<size_t>(rel.rule_of(i))] += rel.tuple(i).prob;
-    }
-    pending.clear();
-  };
-
-  while (stream.HasNext()) {
-    const int i = stream.Next();
-    const TLTuple& ti = rel.tuple(i);
-    if (ties == TiePolicy::kStrictGreater) {
-      if (!pending.empty() && ti.score < pending_score) flush_pending();
-      pending_score = ti.score;
-    }
-    const int r = rel.rule_of(i);
-    const double same_other = rel.rule_prob_sum(r) - ti.prob;
-    const double rank = ExpectedRankFromMasses(
-        ti.prob, prefix_above, rule_above[static_cast<size_t>(r)], same_other,
-        ew);
-    seen_ids.push_back(ti.id);
-    seen_ranks.push_back(rank);
-    if (static_cast<int>(worst_of_best.size()) < k) {
-      worst_of_best.push(rank);
-    } else if (rank < worst_of_best.top()) {
-      worst_of_best.pop();
-      worst_of_best.push(rank);
-    }
-    if (ties == TiePolicy::kStrictGreater) {
-      pending.push_back(i);
-    } else {
-      prefix_above += ti.prob;
-      rule_above[static_cast<size_t>(r)] += ti.prob;
-    }
-
-    // Eq. (9), tie-safe form: every unseen tuple has expected rank at least
-    // (flushed mass) - 1. Under the strict policy the flushed mass counts
-    // tuples scoring strictly above the current run — sound even when the
-    // next unseen tuple ties the current score; under kBreakByIndex every
-    // seen tuple ranks above every unseen one, so the flushed mass is the
-    // full seen mass.
-    const double unseen_lower_bound = prefix_above - 1.0;
-    if (static_cast<int>(worst_of_best.size()) == k &&
-        worst_of_best.top() <= unseen_lower_bound) {
-      break;
-    }
+  const TupleRelation& rel = prepared.relation();
+  const long long n = rel.size();
+  const double ew = rel.ExpectedWorldSize();
+  PrunedTopKResult result;
+  result.prune_stop_position = n;
+  internal::KBestHeap heap(k, rel.size());
+  for (const internal::TupleShard& shard : prepared.shard_plan().shards) {
+    const bool stopped = ExpectedRanksShardSweep(
+        rel, shard, ties, ew,
+        [&](int i, double rank) {
+          ++result.tuples_scanned;
+          heap.Offer(rank, rel.tuple(i).id);
+        },
+        [&](long long next_pos, double flushed) {
+          // Eq. (9): every tuple after next_pos has expected rank at least
+          // flushed - 1 (flushed = the mass of every tuple ranked above it).
+          if (next_pos >= n || !heap.full() ||
+              !(heap.kth() < flushed - 1.0 - internal::kPruneStopSlack)) {
+            return false;
+          }
+          result.prune_stop_position = next_pos;
+          return true;
+        });
+    if (stopped) break;
   }
-
-  return {TopKByStatistic(seen_ids, seen_ranks, k), stream.accessed()};
+  result.topk = heap.Ranked();
+  return result;
 }
 
 }  // namespace urank

@@ -12,11 +12,11 @@
 // rule's mass excluding t_i. Provided here:
 //   * TupleExpectedRanksBruteForce — O(N²) direct evaluation (baseline);
 //   * TupleExpectedRanks — T-ERank, O(N log N) (sort + prefix sums);
-//   * TupleExpectedRankTopKPrune — T-ERank-Prune (Section 6.2): consumes a
-//     score-sorted stream, computes each seen tuple's rank exactly, and
-//     stops when the k-th best seen rank is at most the eq. (9) lower
-//     bound for unseen tuples. Unlike the attribute-level pruning, the
-//     returned top-k is guaranteed to be the true top-k.
+//   * TupleExpectedRankTopKPrune — T-ERank-Prune (Section 6.2): sweeps
+//     the prepared shard plan in rank order, computes each visited tuple's
+//     rank exactly, and stops when the k-th best rank is below the eq. (9)
+//     lower bound for unvisited tuples. Unlike the attribute-level
+//     pruning, the returned top-k is guaranteed to be the true top-k.
 
 #ifndef URANK_CORE_EXPECTED_RANK_TUPLE_H_
 #define URANK_CORE_EXPECTED_RANK_TUPLE_H_
@@ -68,19 +68,17 @@ std::vector<RankedTuple> TupleExpectedRankTopK(
     TiePolicy ties = TiePolicy::kStrictGreater,
     const ParallelismOptions& par = {}, KernelReport* report = nullptr);
 
-// Result of the pruned computation. `topk` is the exact top-k (the eq. (9)
-// bound is sound, so pruning never changes the answer); `accessed` is the
-// number of tuples retrieved from the sorted stream.
-struct TuplePruneResult {
-  std::vector<RankedTuple> topk;
-  int accessed = 0;
-};
-
-// T-ERank-Prune. Requires k >= 1. The lower bound used for unseen tuples
-// is the tie-safe refinement of eq. (9): mass of seen tuples scoring
-// strictly above the last retrieved tuple, minus 1.
-TuplePruneResult TupleExpectedRankTopKPrune(
-    const TupleRelation& rel, int k,
+// T-ERank-Prune, and what QueryEngine::Run executes for expected ranks
+// with QueryRequest::prune. Sweeps the shards of the prepared plan
+// serially, with the exact arithmetic of TupleExpectedRanksSharded (so
+// every visited rank is the same double the unpruned vector holds), and
+// tests eq. (9) at each equal-score run boundary: with `flushed` the
+// prefix mass of every tuple ranked above the boundary, every later tuple
+// has expected rank >= flushed - 1, so the scan stops once the k-th best
+// visited rank is strictly below that. The answer equals
+// TupleExpectedRankTopK's bit for bit. Requires k >= 1.
+PrunedTopKResult TupleExpectedRankTopKPrune(
+    const PreparedTupleRelation& prepared, int k,
     TiePolicy ties = TiePolicy::kStrictGreater);
 
 }  // namespace urank

@@ -133,10 +133,11 @@ URANK_KERNEL size_t SweepAppearChunk(
     const std::function<void(int, const AlignedBuf&)>& per_tuple,
     const TupleSweepStopFn* stop) {
   const vk::KernelOps& ops = vk::Active();
+  // Highest slot first: acquiring a new slot may move the lower ones.
+  AlignedBuf& appear = arena->Doubles(3);
   AlignedBuf& cur = arena->Doubles(0);
   AlignedBuf& pmf = arena->Doubles(1);
   AlignedBuf& scratch = arena->Doubles(2);
-  AlignedBuf& appear = arena->Doubles(3);
   if (entry_mass != nullptr) {
     cur.assign(entry_mass, static_cast<size_t>(rel.num_rules()));
   } else {
@@ -164,6 +165,40 @@ URANK_KERNEL size_t SweepAppearChunk(
     if (stop != nullptr && (*stop)(pos, pmf)) return pos;
   }
   return pos;
+}
+
+size_t SweepChunkGrid(
+    const TupleRelation& rel, const std::vector<int>& order, TiePolicy ties,
+    const TupleSweepEntryTable& entries, KernelArena* arena,
+    const std::function<void(int, const AlignedBuf&)>& per_tuple,
+    const TupleSweepStopFn& stop) {
+  bool stopped = false;
+  const TupleSweepStopFn hook = [&](size_t next_pos, const AlignedBuf& pmf) {
+    stopped = next_pos < order.size() && stop(next_pos, pmf);
+    return stopped;
+  };
+  const int chunks = static_cast<int>(entries.starts.size()) - 1;
+  for (int chunk = 0; chunk < chunks; ++chunk) {
+    const size_t pos = SweepAppearChunk(
+        rel, order, ties, entries.starts[static_cast<size_t>(chunk)],
+        entries.starts[static_cast<size_t>(chunk) + 1],
+        TupleSweepEntryRow(&entries, chunk), arena, per_tuple, &hook);
+    if (stopped) return pos;
+  }
+  return order.size();
+}
+
+URANK_KERNEL bool PmfCdfBelow(const AlignedBuf& pmf, size_t count,
+                              double bound) {
+  if (count >= pmf.size()) return 1.0 < bound;
+  double cdf = 0.0;
+  for (size_t c = 0; c < count; ++c) {
+    // Early-exit threshold scan, same discipline as QuantileFromPmf.
+    // urank-lint: allow(kernel-vectorize)
+    cdf += pmf[c];
+    if (cdf >= bound) return false;
+  }
+  return true;
 }
 
 AbsentContext::AbsentContext(const TupleRelation& rel) {

@@ -1,28 +1,33 @@
 // Internal helper: the shared machinery of the tuple-level sweep kernels.
 // Not part of the public API.
 //
-// rank_distribution_tuple.cc and the pruned quantile kernels
-// (quantile_rank_prune.cc) must produce bit-identical per-tuple rank
-// distributions, so the sweep primitives they share live here exactly
-// once: the (score desc, index asc) rank order, the deterministic chunk
-// grid, the chunk-entry prefix replay, the incremental Poisson-binomial
-// chunk sweep, and the shared absent-branch world-size state. Everything
-// is a pure function of the relation and tie policy — the thread count
-// never enters — which is what keeps serial, parallel and pruned
-// executions on the identical chunk subproblems (docs/PERFORMANCE.md).
+// rank_distribution_tuple.cc and the pruned top-k kernels (quantile and
+// median rank, PT-k, Global-Topk, U-kRanks) must produce bit-identical
+// per-tuple distributions, so the sweep primitives they share live here
+// exactly once: the (score desc, index asc) rank order, the deterministic
+// chunk grid, the chunk-entry prefix replay, the incremental Poisson-
+// binomial chunk sweep, the serial chunk-grid driver with its stop hook,
+// and the shared absent-branch world-size state. Everything is a pure
+// function of the relation and tie policy — the thread count never
+// enters — which is what keeps serial, parallel and pruned executions on
+// the identical chunk subproblems (docs/PERFORMANCE.md).
 
 #ifndef URANK_CORE_INTERNAL_TUPLE_SWEEP_H_
 #define URANK_CORE_INTERNAL_TUPLE_SWEEP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/internal/kernel_arena.h"
 #include "core/internal/vector_kernels.h"
 #include "core/rank_distribution_tuple.h"
+#include "core/ranking.h"
 #include "model/tuple_model.h"
 #include "model/types.h"
+#include "util/kernel_annotations.h"
 
 namespace urank {
 namespace internal {
@@ -110,6 +115,77 @@ std::size_t SweepAppearChunk(
     KernelArena* arena,
     const std::function<void(int, const AlignedBuf&)>& per_tuple,
     const TupleSweepStopFn* stop = nullptr);
+
+// Serial driver of the whole deterministic chunk grid for the pruned
+// kernels: sweeps chunk 0, 1, ... of `entries` (the memoized table for
+// (rel, order, ties)) through SweepAppearChunk, starting each chunk from
+// its precomputed entry state — the identical subproblems the parallel
+// kernels solve, so every visited tuple's appear pmf is bit-identical to
+// the unpruned sweep's. `stop` is consulted at every run boundary except
+// the end of the order. Returns the position the sweep stopped at, or
+// order.size() when it ran out. SweepAppearChunk uses arena slots 0-3; a
+// caller holding a higher slot acquires it before the call.
+std::size_t SweepChunkGrid(
+    const TupleRelation& rel, const std::vector<int>& order, TiePolicy ties,
+    const TupleSweepEntryTable& entries, KernelArena* arena,
+    const std::function<void(int, const AlignedBuf&)>& per_tuple,
+    const TupleSweepStopFn& stop);
+
+// Absolute slack subtracted from every pruned kernel's stop bound. The
+// bounds are proven for exact arithmetic, but the bounding CDFs are
+// floating-point sums: when a true CDF equals the bound exactly
+// (systematic at phi = 1, where a certain-tuple prefix makes the CDF 1),
+// the computed sum can land a few ulps below it and fire the stop
+// spuriously, while the unpruned kernel, crossing the same threshold on
+// its own rounded sums, keeps the tuple. Requiring the computed bound to
+// clear the threshold by this margin keeps every test strictly
+// conservative. Declining to stop never affects the answer, only the
+// scan length.
+inline constexpr double kPruneStopSlack = 1e-9;
+
+// True when pmf[0] + ... + pmf[count - 1] stays below `bound`, scanning
+// with an early exit. When count covers the whole pmf its CDF is 1 by
+// definition, so the test is 1 < bound.
+bool PmfCdfBelow(const AlignedBuf& pmf, std::size_t count, double bound);
+
+// Bounded max-heap of the k best (statistic, id) pairs under the
+// library-wide (statistic asc, id asc) order: front() is the current k-th
+// best. Fixed capacity, allocated once — offers never allocate.
+struct KBestHeap {
+  std::vector<std::pair<double, int>> slots;
+  std::size_t len = 0;
+  std::size_t want = 0;  // the requested k (may exceed slots.size())
+
+  KBestHeap(int k, int n) : want(static_cast<std::size_t>(k)) {
+    slots.resize(std::min(static_cast<std::size_t>(k),
+                          static_cast<std::size_t>(n)));
+  }
+
+  bool full() const { return len == want; }
+  double kth() const { return slots.front().first; }
+
+  URANK_KERNEL void Offer(double stat, int id) {
+    const std::pair<double, int> cand{stat, id};
+    if (len < slots.size()) {
+      slots[len++] = cand;
+      std::push_heap(slots.begin(), slots.begin() + static_cast<long>(len));
+    } else if (cand < slots.front()) {
+      std::pop_heap(slots.begin(), slots.begin() + static_cast<long>(len));
+      slots[len - 1] = cand;
+      std::push_heap(slots.begin(), slots.begin() + static_cast<long>(len));
+    }
+  }
+
+  // Drains into the (statistic asc, id asc) ranked answer.
+  std::vector<RankedTuple> Ranked() {
+    std::sort_heap(slots.begin(), slots.begin() + static_cast<long>(len));
+    std::vector<RankedTuple> out(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      out[i] = RankedTuple{slots[i].second, slots[i].first};
+    }
+    return out;
+  }
+};
 
 // Shared absent-branch state: the pristine world-size Poisson binomial
 // over final rule masses. Built once, sequentially, in rule-index order;

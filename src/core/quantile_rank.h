@@ -113,20 +113,13 @@ std::vector<RankedTuple> TupleQuantileRankTopK(
 // an empty ladder: the kernel degrades to a full scan, still exact.
 // ---------------------------------------------------------------------------
 
-struct PrunedTopKResult {
-  std::vector<RankedTuple> topk;  // identical to the unpruned TopK answer
-  long long tuples_scanned = 0;   // rank distributions actually computed
-  // Stream position (into escore_order / rank_order) where the scan
-  // stopped; N when the bound never fired and the scan ran out.
-  long long prune_stop_position = 0;
-};
-
 // Requires k >= 1 and phi in (0, 1]. The attribute-level form computes
 // each block's exact rank distributions with `par` worker slots (the
 // bound bookkeeping and heap stay serial in stream order, so results are
 // bit-identical regardless) and Merge()s kernel usage into `report` when
 // non-null. The tuple-level form is a serial sweep of the same
-// deterministic chunk grid as the unpruned kernel.
+// deterministic chunk grid as the unpruned kernel (internal::
+// SweepChunkGrid). Both return the PrunedTopKResult of core/ranking.h.
 // Definitions (with the URANK_CHECKs) live in quantile_rank_prune.cc,
 // not this header's sibling — hence the suppression:
 // urank-lint: allow(precondition)

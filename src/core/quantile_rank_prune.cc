@@ -28,44 +28,8 @@ namespace urank {
 namespace {
 
 using internal::AlignedBuf;
-
-// Bounded max-heap of the k best (statistic, id) pairs under the
-// library-wide (statistic asc, id asc) order: front() is the current k-th
-// best. Fixed capacity, allocated once — offers never allocate.
-struct KBestHeap {
-  std::vector<std::pair<double, int>> slots;
-  size_t len = 0;
-  size_t want = 0;  // the requested k (may exceed slots.size() when k > n)
-
-  KBestHeap(int k, int n) : want(static_cast<size_t>(k)) {
-    slots.resize(std::min(static_cast<size_t>(k), static_cast<size_t>(n)));
-  }
-
-  bool full() const { return len == want; }
-  double kth() const { return slots.front().first; }
-
-  URANK_KERNEL void Offer(double stat, int id) {
-    const std::pair<double, int> cand{stat, id};
-    if (len < slots.size()) {
-      slots[len++] = cand;
-      std::push_heap(slots.begin(), slots.begin() + static_cast<long>(len));
-    } else if (cand < slots.front()) {
-      std::pop_heap(slots.begin(), slots.begin() + static_cast<long>(len));
-      slots[len - 1] = cand;
-      std::push_heap(slots.begin(), slots.begin() + static_cast<long>(len));
-    }
-  }
-
-  // Drains into the (statistic asc, id asc) ranked answer.
-  std::vector<RankedTuple> Ranked() {
-    std::sort_heap(slots.begin(), slots.begin() + static_cast<long>(len));
-    std::vector<RankedTuple> out(len);
-    for (size_t i = 0; i < len; ++i) {
-      out[i] = RankedTuple{slots[i].second, slots[i].first};
-    }
-    return out;
-  }
-};
+using internal::KBestHeap;
+using internal::kPruneStopSlack;
 
 // One Bernoulli(p) trial folded into a pmf truncated at `cap` entries:
 // exact counts in [0, cap-2], lumped "count >= cap-1" tail at cap-1.
@@ -95,19 +59,6 @@ URANK_KERNEL void TruncatedConvolveTrial(double* pmf, size_t* len,
   }
 }
 
-// Absolute slack subtracted from phi in the stop tests. The bounds are
-// proven for exact arithmetic, but the bounding CDFs are floating-point
-// sums: when the true CDF equals phi exactly (systematic at phi = 1,
-// where a certain-tuple prefix makes CDF_Y(kth + 1) = 1), the computed
-// sum can land a few ulps below it and fire the stop spuriously — while
-// the unpruned kernel's QuantileFromPmf, crossing the same threshold on
-// its own rounded sums, keeps the tuple. Requiring the computed bound to
-// clear phi by this margin makes the test strictly conservative: any
-// unscanned tuple's true CDF at the k-th rank then sits far below phi
-// relative to summation error, so its rounded CDF cannot cross either.
-// Declining to stop never affects the answer, only the scan length.
-constexpr double kPruneStopSlack = 1e-9;
-
 }  // namespace
 
 URANK_KERNEL PrunedTopKResult TupleQuantileRankTopKPrune(
@@ -123,80 +74,57 @@ URANK_KERNEL PrunedTopKResult TupleQuantileRankTopKPrune(
   if (n == 0) return result;
 
   const auto entries = prepared.SweepEntries(ties);
-  const std::vector<size_t>& starts = entries->starts;
-  const int chunks = static_cast<int>(starts.size()) - 1;
   const internal::AbsentContext absent(rel);
   internal::KernelArena arena;
   const vk::KernelOps& ops = vk::Active();
+  // Acquire the highest slot first (see ForEachTupleRankDistribution).
+  AlignedBuf& absent_buf = arena.Doubles(5);
+  AlignedBuf& dist = arena.Doubles(4);
+  dist.assign(static_cast<size_t>(n) + 1, 0.0);
+  size_t dirty = 0;  // high-water mark of the nonzero prefix of dist
   KBestHeap heap(k, n);
-  long long scanned = 0;
-  bool stopped = false;
 
   // Run-boundary prune test: with Y the Poisson binomial over the flushed
   // per-rule masses (the sweep's own pmf), every unscanned tuple's
   // quantile is >= Q_phi(Y) - 1; stop once CDF_Y(kth + 1) < phi, which
   // makes that lower bound strictly exceed the current k-th best.
-  const internal::TupleSweepStopFn stop = [&](size_t next_pos,
-                                              const AlignedBuf& pmf) {
-    if (next_pos >= static_cast<size_t>(n)) return false;
-    if (!heap.full()) return false;
-    const size_t limit = static_cast<size_t>(heap.kth()) + 2;
-    if (limit >= pmf.size()) return false;  // CDF over all of pmf is 1
-    double cdf = 0.0;
-    for (size_t c = 0; c < limit; ++c) {
-      // Early-exit threshold scan, same discipline as QuantileFromPmf.
-      // urank-lint: allow(kernel-vectorize)
-      cdf += pmf[c];
-      if (cdf >= phi - kPruneStopSlack) return false;
-    }
-    stopped = true;
-    result.prune_stop_position = static_cast<long long>(next_pos);
-    return true;
+  const internal::TupleSweepStopFn stop = [&](size_t, const AlignedBuf& pmf) {
+    return heap.full() &&
+           internal::PmfCdfBelow(pmf, static_cast<size_t>(heap.kth()) + 2,
+                                 phi - kPruneStopSlack);
   };
 
-  // Serial execution of the identical deterministic chunk grid the
-  // unpruned kernel runs (chunk 0, 1, ... from the memoized entry table),
-  // with the exact Definition-7 mixture per tuple — so every quantile
-  // matches the unpruned sweep bit-for-bit.
-  for (int chunk = 0; chunk < chunks && !stopped; ++chunk) {
-    // Acquire the highest slot first (see ForEachTupleRankDistribution).
-    AlignedBuf& absent_buf = arena.Doubles(5);
-    AlignedBuf& dist = arena.Doubles(4);
-    dist.assign(static_cast<size_t>(n) + 1, 0.0);
-    size_t dirty = 0;  // high-water mark of the nonzero prefix of dist
-    internal::SweepAppearChunk(
-        rel, order, ties, starts[static_cast<size_t>(chunk)],
-        starts[static_cast<size_t>(chunk) + 1],
-        internal::TupleSweepEntryRow(entries.get(), chunk), &arena,
-        [&](int i, const AlignedBuf& appear) {
-          const TLTuple& t = rel.tuple(i);
-          const size_t na = appear.size();
-          if (dirty > na) {
-            std::fill(dist.begin() + static_cast<long>(na),
-                      dist.begin() + static_cast<long>(dirty), 0.0);
-          }
-          ops.scale(dist.data(), appear.data(), t.prob, na);
-          size_t hi = na;
-          if (t.prob < 1.0 - internal::kTupleSweepProbEps) {
-            const int r = rel.rule_of(i);
-            const double cond = std::clamp(
-                (rel.rule_prob_sum(r) - t.prob) / (1.0 - t.prob), 0.0, 1.0);
-            absent.ConditionalWorldSize(ops, r, cond, &absent_buf);
-            ops.scale_add(dist.data(), absent_buf.data(), 1.0 - t.prob,
-                          absent_buf.size());
-            hi = std::max(hi, absent_buf.size());
-          }
-          dirty = hi;
-          URANK_DCHECK_NORMALIZED(dist);
-          ++scanned;
-          heap.Offer(static_cast<double>(QuantileFromPmf(
-                         std::span<const double>(dist.data(), dist.size()),
-                         phi)),
-                     t.id);
-        },
-        &stop);
-  }
-  result.tuples_scanned = scanned;
+  // The exact Definition-7 mixture per tuple on the serial chunk-grid
+  // driver, so every quantile matches the unpruned sweep bit-for-bit.
+  result.prune_stop_position = static_cast<long long>(internal::SweepChunkGrid(
+      rel, order, ties, *entries, &arena,
+      [&](int i, const AlignedBuf& appear) {
+        const TLTuple& t = rel.tuple(i);
+        const size_t na = appear.size();
+        if (dirty > na) {
+          std::fill(dist.begin() + static_cast<long>(na),
+                    dist.begin() + static_cast<long>(dirty), 0.0);
+        }
+        ops.scale(dist.data(), appear.data(), t.prob, na);
+        size_t hi = na;
+        if (t.prob < 1.0 - internal::kTupleSweepProbEps) {
+          const int r = rel.rule_of(i);
+          const double cond = std::clamp(
+              (rel.rule_prob_sum(r) - t.prob) / (1.0 - t.prob), 0.0, 1.0);
+          absent.ConditionalWorldSize(ops, r, cond, &absent_buf);
+          ops.scale_add(dist.data(), absent_buf.data(), 1.0 - t.prob,
+                        absent_buf.size());
+          hi = std::max(hi, absent_buf.size());
+        }
+        dirty = hi;
+        URANK_DCHECK_NORMALIZED(dist);
+        ++result.tuples_scanned;
+        heap.Offer(static_cast<double>(QuantileFromPmf(
+                       std::span<const double>(dist.data(), dist.size()),
+                       phi)),
+                   t.id);
+      },
+      stop));
   result.topk = heap.Ranked();
   return result;
 }

@@ -43,6 +43,20 @@ inline std::vector<RankedTuple> TopKByStatistic(
   return all;
 }
 
+// The one result type of the pruned top-k algorithms (QueryRequest::prune
+// and A-ERank-Prune): the answer plus how far the scan got.
+struct PrunedTopKResult {
+  // The answer in rank order. Exact algorithms return exactly the unpruned
+  // top-k selection, statistics included (probability semantics report the
+  // probability itself, best first).
+  std::vector<RankedTuple> topk;
+  // Tuples whose statistic the scan actually computed.
+  long long tuples_scanned = 0;
+  // Stream position (into rank_order / escore_order) where the scan
+  // stopped; N when the bound never fired and the scan ran out.
+  long long prune_stop_position = 0;
+};
+
 // Extracts just the ids of a ranked answer, in rank order.
 inline std::vector<int> IdsOf(const std::vector<RankedTuple>& ranked) {
   std::vector<int> ids;

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "core/ranking.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
 #include "model/types.h"
@@ -28,22 +29,16 @@ std::vector<int> TupleGlobalTopK(const PreparedTupleRelation& prepared,
                                  int k,
                                  TiePolicy ties = TiePolicy::kBreakByIndex);
 
-// Result of the early-terminating evaluation: the same answer as
-// TupleGlobalTopK plus the number of tuples the score-ordered scan
-// retrieved.
-struct GlobalTopKPruneResult {
-  std::vector<int> ids;
-  int accessed = 0;
-};
-
-// Early-terminating Global-Topk on the tuple-level model (the
-// Zhang-Chomicki style scan): consume tuples in decreasing score order
-// computing exact top-k probabilities, and stop once no unseen tuple can
-// beat the k-th best seen probability — an unseen tuple's top-k
-// probability is at most Pr[#appearing seen tuples <= k]. Requires k >= 1;
-// the answer always equals TupleGlobalTopK's.
-GlobalTopKPruneResult TupleGlobalTopKPruned(
-    const TupleRelation& rel, int k,
+// Early-terminating Global-Topk on the tuple-level model (the Zhang-
+// Chomicki style scan), and what QueryEngine::Run executes for
+// Global-Topk with QueryRequest::prune: sweep the prepared rank order
+// computing exact top-k probabilities, and stop once no unvisited tuple
+// can beat the k-th best visited probability (see internal::
+// TupleTopKProbabilityPrune). The answer — TupleGlobalTopK's ids,
+// statistic = top-k probability — is bit-identical to the unpruned
+// selection. Requires k >= 1.
+PrunedTopKResult TupleGlobalTopKPrune(
+    const PreparedTupleRelation& prepared, int k,
     TiePolicy ties = TiePolicy::kBreakByIndex);
 
 }  // namespace urank

@@ -2,7 +2,6 @@
 
 #include "core/engine/prepared_relation.h"
 #include "core/ranking.h"
-#include "core/semantics/score_sweep.h"
 #include "core/semantics/semantics.h"
 #include "util/check.h"
 
@@ -43,22 +42,13 @@ std::vector<int> TuplePTk(const PreparedTupleRelation& prepared, int k,
                    prepared.ids(), threshold);
 }
 
-PTkPruneResult TuplePTkPruned(const TupleRelation& rel, int k,
-                              double threshold, TiePolicy ties) {
+PrunedTopKResult TuplePTkPrune(const PreparedTupleRelation& prepared, int k,
+                               double threshold, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
   URANK_CHECK_MSG(threshold > 0.0 && threshold <= 1.0,
                   "threshold must be in (0,1]");
-  ScoreOrderSweep sweep(rel, ties);
-  std::vector<int> seen_ids;
-  std::vector<double> seen_probs;
-  while (sweep.HasNext()) {
-    const int i = sweep.Next();
-    seen_ids.push_back(rel.tuple(i).id);
-    seen_probs.push_back(sweep.TopKProbability(k));
-    // No unseen tuple can reach the threshold once the bound drops below.
-    if (sweep.UnseenTopKBound(k) < threshold) break;
-  }
-  return {Threshold(seen_probs, seen_ids, threshold), sweep.accessed()};
+  return internal::TupleTopKProbabilityPrune(prepared, k, threshold,
+                                             prepared.size(), ties);
 }
 
 }  // namespace urank

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "core/ranking.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
 #include "model/types.h"
@@ -30,24 +31,17 @@ std::vector<int> TuplePTk(const PreparedTupleRelation& prepared, int k,
                           double threshold,
                           TiePolicy ties = TiePolicy::kBreakByIndex);
 
-// Result of the early-terminating evaluation: the same answer as
-// TuplePTk, plus how many tuples the score-ordered scan retrieved.
-struct PTkPruneResult {
-  std::vector<int> ids;
-  int accessed = 0;
-};
-
 // Early-terminating PT-k on the tuple-level model — the access pattern of
-// Hua et al. [23]: consume tuples in decreasing score order, maintain each
-// seen tuple's exact top-k probability through the shared Poisson-binomial
-// sweep, and stop as soon as no unseen tuple can reach the threshold. The
-// stop test is sound: an unseen tuple is outranked by every appearing
-// tuple scanned so far except at most one own-rule sibling, so its top-k
-// probability is at most Pr[#appearing seen tuples <= k]. Requires k >= 1
-// and threshold in (0, 1]; the answer always equals TuplePTk's.
-PTkPruneResult TuplePTkPruned(const TupleRelation& rel, int k,
-                              double threshold,
-                              TiePolicy ties = TiePolicy::kBreakByIndex);
+// Hua et al. [23], and what QueryEngine::Run executes for PT-k with
+// QueryRequest::prune: sweep the prepared rank order, compute each
+// visited tuple's exact top-k probability, and stop at the first run
+// boundary where no unvisited tuple can reach the threshold (see
+// internal::TupleTopKProbabilityPrune for the bound). The answer — ids in
+// TuplePTk's order, statistic = top-k probability — is bit-identical to
+// the unpruned selection. Requires k >= 1 and threshold in (0, 1].
+PrunedTopKResult TuplePTkPrune(const PreparedTupleRelation& prepared, int k,
+                               double threshold,
+                               TiePolicy ties = TiePolicy::kBreakByIndex);
 
 }  // namespace urank
 

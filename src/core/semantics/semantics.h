@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "core/ranking.h"
 #include "model/types.h"
 #include "util/parallel.h"
 
@@ -38,6 +39,25 @@ std::vector<double> TupleTopKProbabilities(
     TiePolicy ties = TiePolicy::kBreakByIndex,
     const ParallelismOptions& par = {}, KernelReport* report = nullptr);
 
+namespace internal {
+
+// The pruned scan behind TuplePTkPrune and TupleGlobalTopKPrune: sweeps
+// the prepared rank order on the serial chunk-grid driver, computes each
+// visited tuple's top-k probability with the unpruned kernel's expression
+// (min(sum of the first min(k, size) positional entries, 1) — the
+// identical double TupleTopKProbabilities stores), and answers the best
+// `limit` visited tuples whose probability is >= `threshold`, by
+// (probability desc, id asc), statistic = probability. An unvisited tuple
+// is outranked by every flushed appearing tuple except at most one own-
+// rule sibling, so its top-k probability is at most CDF_Y(k) for Y the
+// sweep's flushed Poisson binomial; the scan stops once that bound falls
+// below the threshold, or (with `limit` answers held) below the limit-th
+// best probability. k, threshold and limit are validated by the callers.
+PrunedTopKResult TupleTopKProbabilityPrune(
+    const PreparedTupleRelation& prepared, int k, double threshold,
+    int limit, TiePolicy ties);
+
+}  // namespace internal
 }  // namespace urank
 
 #endif  // URANK_CORE_SEMANTICS_SEMANTICS_H_

@@ -4,9 +4,10 @@
 #include <span>
 
 #include "core/engine/prepared_relation.h"
+#include "core/internal/kernel_arena.h"
+#include "core/internal/tuple_sweep.h"
 #include "core/internal/vector_kernels.h"
 #include "core/rank_distribution_tuple.h"
-#include "core/semantics/score_sweep.h"
 #include "util/check.h"
 #include "util/kernel_annotations.h"
 
@@ -109,34 +110,47 @@ std::vector<int> TupleUKRanks(const PreparedTupleRelation& prepared, int k,
   }));
 }
 
-URANK_KERNEL
-UKRanksPruneResult TupleUKRanksPruned(const TupleRelation& rel, int k,
-                                      TiePolicy ties) {
+URANK_KERNEL PrunedTopKResult TupleUKRanksPrune(
+    const PreparedTupleRelation& prepared, int k, TiePolicy ties) {
   URANK_CHECK_MSG(k >= 1, "k must be >= 1");
-  ScoreOrderSweep sweep(rel, ties);
+  const TupleRelation& rel = prepared.relation();
+  const size_t kk = static_cast<size_t>(k);
+  PrunedTopKResult result;
+  result.prune_stop_position = rel.size();
+  if (rel.size() == 0) return result;
   const vk::KernelOps& ops = vk::Active();
-  std::vector<int> winners(static_cast<size_t>(k), -1);
-  std::vector<double> best(static_cast<size_t>(k), 0.0);
-  std::vector<double> positional;
-  while (sweep.HasNext()) {
-    const int i = sweep.Next();
-    const int id = rel.tuple(i).id;
-    sweep.PositionalProbabilities(k, &positional);
-    URANK_DCHECK_MSG(internal::AllFiniteInRange(positional, 0.0, 1.0),
-                     "positional probability outside [0,1]");
-    ops.argmax_merge(positional.data(), id, best.data(), winners.data(),
-                     static_cast<size_t>(k));
-    // Stop once every rank's current winner strictly dominates the bound
-    // achievable by any unseen tuple.
-    bool done = true;
-    for (int r = 0; r < k && done; ++r) {
-      if (sweep.UnseenRankBound(r) >= best[static_cast<size_t>(r)]) {
-        done = false;
-      }
-    }
-    if (done) break;
-  }
-  return {winners, sweep.accessed()};
+  const auto entries = prepared.SweepEntries(ties);
+  internal::KernelArena arena;
+  internal::AlignedBuf& row = arena.Doubles(4);
+  std::vector<int> winners(kk, -1);
+  std::vector<double> best(kk, 0.0);
+  result.prune_stop_position = static_cast<long long>(internal::SweepChunkGrid(
+      rel, prepared.rank_order(), ties, *entries, &arena,
+      [&](int i, const internal::AlignedBuf& appear) {
+        row.resize(appear.size());
+        ops.scale(row.data(), appear.data(), rel.tuple(i).prob,
+                  appear.size());
+        URANK_DCHECK_MSG(internal::AllFiniteInRange(
+                             std::span<const double>(row.data(), row.size()),
+                             0.0, 1.0),
+                         "positional probability outside [0,1]");
+        ++result.tuples_scanned;
+        ops.argmax_merge(row.data(), prepared.ids()[static_cast<size_t>(i)],
+                         best.data(), winners.data(),
+                         std::min(kk, row.size()));
+      },
+      [&](size_t, const internal::AlignedBuf& pmf) {
+        for (size_t r = 0; r < kk; ++r) {
+          if (!internal::PmfCdfBelow(pmf, r + 2,
+                                     best[r] - internal::kPruneStopSlack)) {
+            return false;
+          }
+        }
+        return true;
+      }));
+  result.topk.resize(kk);
+  for (size_t r = 0; r < kk; ++r) result.topk[r] = {winners[r], best[r]};
+  return result;
 }
 
 }  // namespace urank

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "core/ranking.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
 #include "model/types.h"
@@ -43,24 +44,20 @@ std::vector<int> TupleUKRanks(const PreparedTupleRelation& prepared, int k,
                               const ParallelismOptions& par = {},
                               KernelReport* report = nullptr);
 
-// Result of the early-terminating evaluation: the same answer as
-// TupleUKRanks plus the number of tuples the score-ordered scan retrieved.
-struct UKRanksPruneResult {
-  std::vector<int> ids;
-  int accessed = 0;
-};
-
 // Early-terminating U-kRanks on the tuple-level model (in the spirit of
-// Soliman et al.'s optimized scan): consume tuples in decreasing score
-// order, compute each tuple's exact positional probabilities, and stop
-// when no unseen tuple can win any of the k positions — an unseen tuple's
-// probability at rank r is at most Pr[#appearing seen tuples <= r + 1].
-// Positions whose best seen probability is 0 keep the scan alive to the
-// end (an unseen tuple might still claim them). Requires k >= 1; the
-// answer always equals TupleUKRanks'.
-UKRanksPruneResult TupleUKRanksPruned(
-    const TupleRelation& rel, int k,
-    TiePolicy ties = TiePolicy::kBreakByIndex);
+// Soliman et al.'s optimized scan), and what QueryEngine::Run executes
+// for U-kRanks with QueryRequest::prune: sweep the prepared rank order on
+// the serial chunk-grid driver, fold each visited tuple's positional row
+// (the unpruned kernel's row, bit for bit) into the per-rank winners with
+// the same argmax/min-id rule, and stop at the first run boundary where
+// every rank r < k has best[r] > CDF_Y(r + 1) — an unvisited tuple's
+// probability at rank r is at most that, for Y the sweep's flushed
+// Poisson binomial. A rank whose best is still 0 keeps the scan alive.
+// topk[r] = {winner id (or -1), its probability}; the ids equal
+// TupleUKRanks'. Requires k >= 1.
+PrunedTopKResult TupleUKRanksPrune(const PreparedTupleRelation& prepared,
+                                   int k,
+                                   TiePolicy ties = TiePolicy::kBreakByIndex);
 
 }  // namespace urank
 

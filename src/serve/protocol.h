@@ -15,13 +15,18 @@
 // query:          {"relation":NAME, "semantics":NAME, "k":K,
 //                  ["phi":P], ["threshold":T], ["ties":NAME],
 //                  ["deadline_ms":D], ["cache":"default"|"bypass"],
-//                  ["threads":T], ["min_epoch":E]}
+//                  ["threads":T], ["min_epoch":E], ["prune":BOOL]}
 //   -> {"v":1,"id":ID,"status":"ok","code":0,"relation":NAME,
 //       "epoch":E,"cache":"hit"|"miss"|"bypass","ids":[...],
 //       "statistics":[...],"stats":{...}}
 //   "epoch" is the epoch the answer was computed against; "min_epoch"
 //   demands at least that epoch (kEpochNotAvailable otherwise) — the
-//   read-your-writes handshake after a mutate.
+//   read-your-writes handshake after a mutate. "prune":true is
+//   QueryRequest::prune: the exact early-terminating top-k for
+//   tuple-level expected-rank, median-rank, quantile-rank, pt-k,
+//   global-topk and u-kranks and attribute-level median-rank and
+//   quantile-rank (ignored elsewhere); the answer is identical, and
+//   "stats" reports tuples_scanned and prune_stop_position.
 //
 // mutate:         {"relation":NAME, "ops":[OP, ...]} with
 //   OP = {"op":"insert"|"update",

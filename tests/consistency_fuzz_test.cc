@@ -10,6 +10,7 @@
 #include <numeric>
 #include <vector>
 
+#include "core/engine/query_engine.h"
 #include "core/expected_rank_attr.h"
 #include "core/expected_rank_tuple.h"
 #include "core/quantile_rank.h"
@@ -116,13 +117,19 @@ TEST_P(ConsistencyFuzz, PositionalRowsDecomposeTopKProbability) {
 }
 
 TEST_P(ConsistencyFuzz, PruneAgreesWithExactOnTupleModel) {
+  // Every tuple-level semantics QueryRequest::prune reaches must answer
+  // bit-identically to its unpruned kernel.
   const TupleRelation rel = MakeTuple(500);
-  for (int k : {1, 13, 60}) {
-    const auto exact = TupleExpectedRankTopK(Prepared(rel), k);
-    const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, k);
-    ASSERT_EQ(pruned.topk.size(), exact.size());
-    for (size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_EQ(pruned.topk[i].id, exact[i].id);
+  for (RankingSemantics semantics :
+       {RankingSemantics::kExpectedRank, RankingSemantics::kMedianRank,
+        RankingSemantics::kQuantileRank, RankingSemantics::kPTk,
+        RankingSemantics::kGlobalTopk, RankingSemantics::kUKRanks}) {
+    for (int k : {1, 13, 60}) {
+      SCOPED_TRACE(::testing::Message() << ToString(semantics) << " k=" << k);
+      QueryRequest request = testing_util::Request(semantics, k);
+      request.options.phi = 0.8;
+      request.options.threshold = 0.2;
+      testing_util::ExpectPruneMatchesUnpruned(rel, request);
     }
   }
 }

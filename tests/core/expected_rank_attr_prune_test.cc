@@ -16,11 +16,12 @@ using testing_util::Prepared;
 using testing_util::RandomSmallAttr;
 
 TEST(AttrPruneTest, PaperFig2TopOne) {
-  const AttrPruneResult result = AttrExpectedRankTopKPrune(PaperFig2(), 1);
+  const PrunedTopKResult result =
+      AttrExpectedRankTopKPrune(Prepared(PaperFig2()), 1);
   ASSERT_EQ(result.topk.size(), 1u);
   EXPECT_EQ(result.topk[0].id, 2);
-  EXPECT_LE(result.accessed, 3);
-  EXPECT_GE(result.accessed, 1);
+  EXPECT_LE(result.tuples_scanned, 3);
+  EXPECT_GE(result.tuples_scanned, 1);
 }
 
 TEST(AttrPruneTest, FullScanEqualsExactAnswer) {
@@ -30,8 +31,9 @@ TEST(AttrPruneTest, FullScanEqualsExactAnswer) {
   for (int trial = 0; trial < 10; ++trial) {
     AttrRelation rel = RandomSmallAttr(rng, 6, 3);
     const auto exact = AttrExpectedRankTopK(Prepared(rel), 3);
-    const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, 3);
-    if (pruned.accessed == rel.size()) {
+    const PrunedTopKResult pruned =
+        AttrExpectedRankTopKPrune(Prepared(rel), 3);
+    if (pruned.tuples_scanned == rel.size()) {
       ASSERT_EQ(pruned.topk.size(), exact.size());
       for (size_t i = 0; i < exact.size(); ++i) {
         EXPECT_EQ(pruned.topk[i].id, exact[i].id);
@@ -46,9 +48,10 @@ TEST(AttrPruneTest, AccessesNeverExceedN) {
   config.seed = 3;
   AttrRelation rel = GenerateAttrRelation(config);
   for (int k : {1, 5, 20}) {
-    const AttrPruneResult result = AttrExpectedRankTopKPrune(rel, k);
-    EXPECT_LE(result.accessed, rel.size());
-    EXPECT_GE(result.accessed, std::min(k, rel.size()));
+    const PrunedTopKResult result =
+        AttrExpectedRankTopKPrune(Prepared(rel), k);
+    EXPECT_LE(result.tuples_scanned, rel.size());
+    EXPECT_GE(result.tuples_scanned, std::min(k, rel.size()));
     EXPECT_EQ(static_cast<int>(result.topk.size()),
               std::min(k, rel.size()));
   }
@@ -65,8 +68,9 @@ TEST(AttrPruneTest, PrunesOnConcentratedScores) {
         {i, {{centre - 0.1, 0.5}, {centre + 0.1, 0.5}}});
   }
   AttrRelation rel(std::move(tuples));
-  const AttrPruneResult result = AttrExpectedRankTopKPrune(rel, 5);
-  EXPECT_LT(result.accessed, rel.size());
+  const PrunedTopKResult result =
+      AttrExpectedRankTopKPrune(Prepared(rel), 5);
+  EXPECT_LT(result.tuples_scanned, rel.size());
   // The surrogate answer must match the exact top-5 here.
   const auto exact = AttrExpectedRankTopK(Prepared(rel), 5);
   ASSERT_EQ(result.topk.size(), exact.size());
@@ -83,16 +87,18 @@ TEST(AttrPruneTest, SurrogateQualityIsHighOnGeneratedData) {
   AttrRelation rel = GenerateAttrRelation(config);
   const int k = 10;
   const auto exact = IdsOf(AttrExpectedRankTopK(Prepared(rel), k));
-  const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, k);
+  const PrunedTopKResult pruned =
+      AttrExpectedRankTopKPrune(Prepared(rel), k);
   EXPECT_GE(RecallAgainst(IdsOf(pruned.topk), exact), 0.8);
 }
 
 TEST(AttrPruneTest, SingleTuple) {
   AttrRelation rel({{0, {{5.0, 1.0}}}});
-  const AttrPruneResult result = AttrExpectedRankTopKPrune(rel, 1);
+  const PrunedTopKResult result =
+      AttrExpectedRankTopKPrune(Prepared(rel), 1);
   ASSERT_EQ(result.topk.size(), 1u);
   EXPECT_EQ(result.topk[0].id, 0);
-  EXPECT_EQ(result.accessed, 1);
+  EXPECT_EQ(result.tuples_scanned, 1);
 }
 
 TEST(AttrPruneClampedTest, NeverAccessesMoreThanFaithful) {
@@ -102,15 +108,16 @@ TEST(AttrPruneClampedTest, NeverAccessesMoreThanFaithful) {
   for (uint64_t seed : {21, 22, 23}) {
     config.seed = seed;
     AttrRelation rel = GenerateAttrRelation(config);
+    const PreparedAttrRelation prepared = Prepared(rel);
     for (int k : {1, 10, 40}) {
-      const AttrPruneResult faithful =
-          AttrExpectedRankTopKPrune(rel, k, /*clamp_tail_bounds=*/false);
-      const AttrPruneResult clamped =
-          AttrExpectedRankTopKPrune(rel, k, /*clamp_tail_bounds=*/true);
-      EXPECT_LE(clamped.accessed, faithful.accessed)
+      const PrunedTopKResult faithful =
+          AttrExpectedRankTopKPrune(prepared, k, /*clamp_tail_bounds=*/false);
+      const PrunedTopKResult clamped =
+          AttrExpectedRankTopKPrune(prepared, k, /*clamp_tail_bounds=*/true);
+      EXPECT_LE(clamped.tuples_scanned, faithful.tuples_scanned)
           << "seed=" << seed << " k=" << k;
       // Both surrogates stay close to the exact answer.
-      const auto exact = IdsOf(AttrExpectedRankTopK(Prepared(rel), k));
+      const auto exact = IdsOf(AttrExpectedRankTopK(prepared, k));
       EXPECT_GE(RecallAgainst(IdsOf(clamped.topk), exact), 0.6);
     }
   }
@@ -121,9 +128,10 @@ TEST(AttrPruneClampedTest, FullScanStillExact) {
   for (int trial = 0; trial < 10; ++trial) {
     AttrRelation rel = RandomSmallAttr(rng, 6, 3);
     const auto exact = AttrExpectedRankTopK(Prepared(rel), 3);
-    const AttrPruneResult pruned =
-        AttrExpectedRankTopKPrune(rel, 3, /*clamp_tail_bounds=*/true);
-    if (pruned.accessed == rel.size()) {
+    const PrunedTopKResult pruned =
+        AttrExpectedRankTopKPrune(Prepared(rel), 3,
+                                  /*clamp_tail_bounds=*/true);
+    if (pruned.tuples_scanned == rel.size()) {
       ASSERT_EQ(pruned.topk.size(), exact.size());
       for (size_t i = 0; i < exact.size(); ++i) {
         EXPECT_EQ(pruned.topk[i].id, exact[i].id);
@@ -134,11 +142,13 @@ TEST(AttrPruneClampedTest, FullScanStillExact) {
 
 TEST(AttrPruneDeathTest, RejectsNonPositiveScores) {
   AttrRelation rel({{0, {{0.0, 0.5}, {2.0, 0.5}}}});
-  EXPECT_DEATH(AttrExpectedRankTopKPrune(rel, 1), "positive scores");
+  EXPECT_DEATH(AttrExpectedRankTopKPrune(Prepared(rel), 1),
+               "positive scores");
 }
 
 TEST(AttrPruneDeathTest, RejectsNonPositiveK) {
-  EXPECT_DEATH(AttrExpectedRankTopKPrune(PaperFig2(), 0), "k must be >= 1");
+  EXPECT_DEATH(AttrExpectedRankTopKPrune(Prepared(PaperFig2()), 0),
+               "k must be >= 1");
 }
 
 class AttrPruneSweep : public ::testing::TestWithParam<uint64_t> {};
@@ -152,7 +162,8 @@ TEST_P(AttrPruneSweep, SurrogateContainsMostOfExactTopK) {
   AttrRelation rel = GenerateAttrRelation(config);
   for (int k : {1, 5, 15}) {
     const auto exact = IdsOf(AttrExpectedRankTopK(Prepared(rel), k));
-    const AttrPruneResult pruned = AttrExpectedRankTopKPrune(rel, k);
+    const PrunedTopKResult pruned =
+        AttrExpectedRankTopKPrune(Prepared(rel), k);
     EXPECT_EQ(pruned.topk.size(), exact.size());
     EXPECT_GE(RecallAgainst(IdsOf(pruned.topk), exact), 0.6)
         << "k=" << k << " seed=" << GetParam();

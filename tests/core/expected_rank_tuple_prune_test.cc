@@ -1,6 +1,12 @@
+// T-ERank-Prune through QueryEngine::Run with QueryRequest::prune: the
+// pruned answer must equal the unpruned T-ERank top-k bit for bit (ids and
+// expected ranks, EXPECT_EQ), and the eq. (9) bound must actually stop the
+// scan where the paper says it does.
+
 #include <algorithm>
 #include <vector>
 
+#include "core/engine/query_engine.h"
 #include "core/expected_rank_tuple.h"
 #include "gen/tuple_gen.h"
 #include "gtest/gtest.h"
@@ -10,24 +16,22 @@
 namespace urank {
 namespace {
 
+using testing_util::ExpectPruneMatchesUnpruned;
 using testing_util::PaperFig4;
 using testing_util::Prepared;
 using testing_util::RandomSmallTuple;
 
-void ExpectSameAnswer(const std::vector<RankedTuple>& a,
-                      const std::vector<RankedTuple>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id) << "position " << i;
-    EXPECT_NEAR(a[i].statistic, b[i].statistic, 1e-9);
-  }
+// Expected rank under the paper's rank definition (Definition 6), the
+// default of the T-ERank entry points.
+QueryRequest ExpectedRankRequest(
+    int k, TiePolicy ties = TiePolicy::kStrictGreater) {
+  return testing_util::Request(RankingSemantics::kExpectedRank, k, ties);
 }
 
 TEST(TuplePruneTest, PaperFig4AllK) {
   for (int k = 1; k <= 4; ++k) {
-    const auto exact = TupleExpectedRankTopK(Prepared(PaperFig4()), k);
-    const TuplePruneResult pruned = TupleExpectedRankTopKPrune(PaperFig4(), k);
-    ExpectSameAnswer(pruned.topk, exact);
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    ExpectPruneMatchesUnpruned(PaperFig4(), ExpectedRankRequest(k));
   }
 }
 
@@ -39,11 +43,10 @@ TEST(TuplePruneTest, AlwaysMatchesExactTopK) {
     for (int k : {1, 3, 7}) {
       for (TiePolicy ties :
            {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
-        const auto exact = TupleExpectedRankTopK(Prepared(rel), k, ties);
-        const TuplePruneResult pruned =
-            TupleExpectedRankTopKPrune(rel, k, ties);
-        ExpectSameAnswer(pruned.topk, exact);
-        EXPECT_LE(pruned.accessed, rel.size());
+        SCOPED_TRACE(::testing::Message() << "k=" << k);
+        const QueryStats stats =
+            ExpectPruneMatchesUnpruned(rel, ExpectedRankRequest(k, ties));
+        EXPECT_LE(stats.tuples_scanned, rel.size());
       }
     }
   }
@@ -60,11 +63,10 @@ TEST(TuplePruneTest, PrunesWithHighProbabilities) {
   config.multi_rule_fraction = 0.0;
   config.seed = 5;
   TupleRelation rel = GenerateTupleRelation(config);
-  const int k = 10;
-  const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, k);
-  EXPECT_LT(pruned.accessed, rel.size() / 4);
-  const auto exact = TupleExpectedRankTopK(Prepared(rel), k);
-  ExpectSameAnswer(pruned.topk, exact);
+  const QueryStats stats =
+      ExpectPruneMatchesUnpruned(rel, ExpectedRankRequest(10));
+  EXPECT_GT(stats.tuples_scanned, 0);
+  EXPECT_LT(stats.tuples_scanned, rel.size() / 4);
 }
 
 TEST(TuplePruneTest, ScansMoreWithLowProbabilities) {
@@ -74,14 +76,13 @@ TEST(TuplePruneTest, ScansMoreWithLowProbabilities) {
   config.prob_hi = 0.1;
   config.multi_rule_fraction = 0.0;
   config.seed = 6;
-  TupleRelation rel = GenerateTupleRelation(config);
-  const int k = 10;
-  const TuplePruneResult low = TupleExpectedRankTopKPrune(rel, k);
+  const QueryStats low = ExpectPruneMatchesUnpruned(
+      GenerateTupleRelation(config), ExpectedRankRequest(10));
   config.prob_lo = 0.9;
   config.prob_hi = 1.0;
-  const TuplePruneResult high =
-      TupleExpectedRankTopKPrune(GenerateTupleRelation(config), k);
-  EXPECT_GT(low.accessed, high.accessed);
+  const QueryStats high = ExpectPruneMatchesUnpruned(
+      GenerateTupleRelation(config), ExpectedRankRequest(10));
+  EXPECT_GT(low.tuples_scanned, high.tuples_scanned);
 }
 
 TEST(TuplePruneTest, CorrectWithExclusionRulesOnGeneratedData) {
@@ -92,9 +93,8 @@ TEST(TuplePruneTest, CorrectWithExclusionRulesOnGeneratedData) {
   config.seed = 7;
   TupleRelation rel = GenerateTupleRelation(config);
   for (int k : {1, 10, 50}) {
-    const auto exact = TupleExpectedRankTopK(Prepared(rel), k);
-    const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, k);
-    ExpectSameAnswer(pruned.topk, exact);
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    ExpectPruneMatchesUnpruned(rel, ExpectedRankRequest(k));
   }
 }
 
@@ -104,23 +104,24 @@ TEST(TuplePruneTest, TiedScoresStaySound) {
   std::vector<TLTuple> tuples;
   for (int i = 0; i < 20; ++i) tuples.push_back({i, 5.0, 0.9});
   TupleRelation rel = TupleRelation::Independent(std::move(tuples));
-  const auto exact =
-      TupleExpectedRankTopK(Prepared(rel), 3, TiePolicy::kStrictGreater);
-  const TuplePruneResult pruned =
-      TupleExpectedRankTopKPrune(rel, 3, TiePolicy::kStrictGreater);
-  EXPECT_EQ(pruned.accessed, rel.size());
-  ExpectSameAnswer(pruned.topk, exact);
+  const QueryStats stats =
+      ExpectPruneMatchesUnpruned(rel, ExpectedRankRequest(3));
+  EXPECT_EQ(stats.tuples_scanned, rel.size());
+  EXPECT_EQ(stats.prune_stop_position, rel.size());
 }
 
 TEST(TuplePruneTest, SingleTuple) {
   TupleRelation rel = TupleRelation::Independent({{0, 1.0, 0.5}});
-  const TuplePruneResult pruned = TupleExpectedRankTopKPrune(rel, 1);
+  const PrunedTopKResult pruned =
+      TupleExpectedRankTopKPrune(Prepared(rel), 1);
   ASSERT_EQ(pruned.topk.size(), 1u);
   EXPECT_EQ(pruned.topk[0].id, 0);
+  ExpectPruneMatchesUnpruned(rel, ExpectedRankRequest(1));
 }
 
 TEST(TuplePruneDeathTest, RejectsNonPositiveK) {
-  EXPECT_DEATH(TupleExpectedRankTopKPrune(PaperFig4(), 0), "k must be >= 1");
+  EXPECT_DEATH(TupleExpectedRankTopKPrune(Prepared(PaperFig4()), 0),
+               "k must be >= 1");
 }
 
 }  // namespace

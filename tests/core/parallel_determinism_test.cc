@@ -16,6 +16,7 @@
 
 #include "gtest/gtest.h"
 #include "common/scenario_gen.h"
+#include "test_util.h"
 #include "core/engine/prepared_builder.h"
 #include "core/engine/query_engine.h"
 #include "core/expected_rank_attr.h"
@@ -710,6 +711,63 @@ TEST(PrunedKernelDeterminismTest, PruneOnBlockedPreparationMatchesEager) {
           << "block=" << block;
     }
   }
+}
+
+// Every tuple-level semantics QueryRequest::prune reaches answers
+// bit-identically to its unpruned kernel (ids and statistics, EXPECT_EQ)
+// over the scenario_gen families, both tie policies and the thread counts
+// the unpruned kernel runs with; the pruned scan itself is serial, so its
+// stop position must not move with the thread count either.
+constexpr RankingSemantics kPrunedTupleSemantics[] = {
+    RankingSemantics::kExpectedRank, RankingSemantics::kMedianRank,
+    RankingSemantics::kQuantileRank, RankingSemantics::kPTk,
+    RankingSemantics::kGlobalTopk,   RankingSemantics::kUKRanks};
+
+void ExpectEnginePruneMatches(const TupleRelation& rel, const char* family) {
+  for (RankingSemantics semantics : kPrunedTupleSemantics) {
+    for (TiePolicy ties :
+         {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
+      for (int k : {1, 10}) {
+        long long stop = -2;
+        for (int threads : {1, 4, 8}) {
+          SCOPED_TRACE(::testing::Message()
+                       << family << " " << ToString(semantics)
+                       << " ties=" << static_cast<int>(ties) << " k=" << k
+                       << " threads=" << threads);
+          QueryRequest request = testing_util::Request(semantics, k, ties);
+          request.options.phi = 0.75;
+          request.options.threshold = 0.1;
+          request.parallelism = Par(threads);
+          const QueryStats stats =
+              testing_util::ExpectPruneMatchesUnpruned(rel, request);
+          if (stop != -2) {
+            EXPECT_EQ(stats.prune_stop_position, stop);
+          }
+          stop = stats.prune_stop_position;
+        }
+      }
+    }
+  }
+}
+
+TEST(PrunedKernelDeterminismTest, EnginePruneMatchesUnprunedOnCorrelated) {
+  for (Correlation corr : {Correlation::kIndependent, Correlation::kPositive,
+                           Correlation::kNegative}) {
+    ExpectEnginePruneMatches(
+        testgen::CorrelatedTupleRelation(500, corr, 41), ToString(corr));
+  }
+}
+
+TEST(PrunedKernelDeterminismTest, EnginePruneMatchesUnprunedOnRuleFamilies) {
+  ExpectEnginePruneMatches(testgen::ClusteredScoreTupleRelation(600, 6, 43),
+                           "clustered");
+  ExpectEnginePruneMatches(testgen::AdversarialRuleTupleRelation(400, 5, 47),
+                           "adversarial");
+  ExpectEnginePruneMatches(testgen::WideRuleTupleRelation(800, 8, 53),
+                           "wide-rule");
+  ExpectEnginePruneMatches(
+      testgen::BoundedSupportTupleRelation(1500, 16, 40, 59),
+      "bounded-support");
 }
 
 TEST(SeededShardPlanTest, RankProbOverloadMatchesGatherAcrossCaps) {

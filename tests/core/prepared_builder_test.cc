@@ -227,5 +227,61 @@ TEST(PreparedAttrBuilderDeathTest, RejectsUseAfterSeal) {
   EXPECT_DEATH(builder.Seal(), "twice");
 }
 
+// The stream orders the pruned scans walk: escore_order() for the
+// attribute-level ones (A-ERank-Prune, the quantile prune), rank_order()
+// for the tuple-level ones.
+TEST(PreparedStreamOrderTest, AttrEscoreOrderDescendsByExpectedScore) {
+  const PreparedAttrRelation prepared = testing_util::Prepared(
+      ClusteredScoreAttrRelation(200, 5, 3, 61));
+  const std::vector<int>& order = prepared.escore_order();
+  ASSERT_EQ(order.size(), 200u);
+  for (size_t i = 1; i < order.size(); ++i) {
+    const double prev = prepared.expected_scores()[order[i - 1]];
+    const double cur = prepared.expected_scores()[order[i]];
+    EXPECT_GE(prev, cur);
+    if (prev == cur) {
+      EXPECT_LT(order[i - 1], order[i]);
+    }
+  }
+}
+
+TEST(PreparedStreamOrderTest, AttrFig2Order) {
+  // E[X1] = 82, E[X2] = 87.2, E[X3] = 85: order t2, t3, t1.
+  const PreparedAttrRelation prepared =
+      testing_util::Prepared(testing_util::PaperFig2());
+  EXPECT_EQ(prepared.escore_order(), (std::vector<int>{1, 2, 0}));
+}
+
+TEST(PreparedStreamOrderTest, AttrTieOnExpectedScoreBreaksByIndex) {
+  const PreparedAttrRelation prepared = testing_util::Prepared(
+      AttrRelation({{5, {{10.0, 1.0}}}, {3, {{10.0, 1.0}}}}));
+  EXPECT_EQ(prepared.escore_order(), (std::vector<int>{0, 1}));
+}
+
+TEST(PreparedStreamOrderTest, TupleRankOrderDescendsByScore) {
+  const PreparedTupleRelation prepared =
+      testing_util::Prepared(ClusteredScoreTupleRelation(300, 7, 67));
+  const std::vector<int>& order = prepared.rank_order();
+  ASSERT_EQ(order.size(), 300u);
+  for (size_t i = 1; i < order.size(); ++i) {
+    const double prev = prepared.relation().tuple(order[i - 1]).score;
+    const double cur = prepared.relation().tuple(order[i]).score;
+    EXPECT_GE(prev, cur);
+    if (prev == cur) {
+      EXPECT_LT(order[i - 1], order[i]);
+    }
+  }
+  EXPECT_DOUBLE_EQ(testing_util::Prepared(testing_util::PaperFig4())
+                       .expected_world_size(),
+                   2.4);
+}
+
+TEST(PreparedStreamOrderTest, TupleEmptyRelation) {
+  const PreparedTupleRelation prepared =
+      testing_util::Prepared(TupleRelation::Independent({}));
+  EXPECT_TRUE(prepared.rank_order().empty());
+  EXPECT_EQ(prepared.size(), 0);
+}
+
 }  // namespace
 }  // namespace urank

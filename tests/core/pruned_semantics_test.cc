@@ -1,11 +1,19 @@
-// Tests for the early-terminating Global-Topk and U-kRanks evaluations and
-// the shared ScoreOrderSweep they are built on.
+// Tests for the early-terminating Global-Topk and U-kRanks evaluations
+// that QueryRequest::prune routes through QueryEngine::Run, and for the
+// tuple_sweep stop hook their bounds read: the serial chunk-grid driver
+// must hand every visited tuple the unpruned kernel's exact row, and the
+// flushed Poisson binomial the hook sees must bound every unvisited
+// tuple.
 
+#include <algorithm>
 #include <vector>
 
+#include "core/engine/query_engine.h"
+#include "core/internal/kernel_arena.h"
+#include "core/internal/tuple_sweep.h"
+#include "core/internal/vector_kernels.h"
 #include "core/rank_distribution_tuple.h"
 #include "core/semantics/global_topk.h"
-#include "core/semantics/score_sweep.h"
 #include "core/semantics/semantics.h"
 #include "core/semantics/u_kranks.h"
 #include "gen/tuple_gen.h"
@@ -16,24 +24,58 @@
 namespace urank {
 namespace {
 
+using internal::AlignedBuf;
+using testing_util::ExpectPruneMatchesUnpruned;
 using testing_util::PaperFig4;
 using testing_util::Prepared;
 using testing_util::RandomSmallTuple;
+using testing_util::Request;
 
-TEST(ScoreOrderSweepTest, TopKProbabilityMatchesBatchComputation) {
+constexpr TiePolicy kPolicies[] = {TiePolicy::kStrictGreater,
+                                   TiePolicy::kBreakByIndex};
+
+// Positional rows (ops.scale of the appear pmf by p, exactly as the pruned
+// kernels build them) by tuple position, from one full pass of the serial
+// chunk-grid driver; `at_boundary(next_pos, pmf)` sees every run boundary.
+std::vector<std::vector<double>> DriverRows(
+    const PreparedTupleRelation& prepared, TiePolicy ties,
+    const internal::TupleSweepStopFn& at_boundary) {
+  const TupleRelation& rel = prepared.relation();
+  std::vector<std::vector<double>> rows(static_cast<size_t>(rel.size()));
+  const vk::KernelOps& ops = vk::Active();
+  internal::KernelArena arena;
+  internal::SweepChunkGrid(
+      rel, prepared.rank_order(), ties, *prepared.SweepEntries(ties), &arena,
+      [&](int i, const AlignedBuf& appear) {
+        std::vector<double>& row = rows[static_cast<size_t>(i)];
+        row.resize(appear.size());
+        ops.scale(row.data(), appear.data(), rel.tuple(i).prob,
+                  appear.size());
+      },
+      at_boundary);
+  return rows;
+}
+
+double Cdf(const AlignedBuf& pmf, size_t upto) {
+  double cdf = 0.0;
+  for (size_t c = 0; c <= upto && c < pmf.size(); ++c) cdf += pmf[c];
+  return cdf;
+}
+
+TEST(TupleSweepStopHookTest, TopKProbabilityMatchesBatchComputation) {
   Rng rng(1);
+  const vk::KernelOps& ops = vk::Active();
   for (int trial = 0; trial < 10; ++trial) {
-    TupleRelation rel = RandomSmallTuple(rng, 9);
-    for (TiePolicy ties :
-         {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
+    const PreparedTupleRelation prepared = Prepared(RandomSmallTuple(rng, 9));
+    for (TiePolicy ties : kPolicies) {
+      const auto rows = DriverRows(
+          prepared, ties, [](size_t, const AlignedBuf&) { return false; });
       for (int k : {1, 3, 5}) {
         const std::vector<double> batch =
-            TupleTopKProbabilities(Prepared(rel), k, ties);
-        ScoreOrderSweep sweep(rel, ties);
-        while (sweep.HasNext()) {
-          const int i = sweep.Next();
-          EXPECT_NEAR(sweep.TopKProbability(k),
-                      batch[static_cast<size_t>(i)], 1e-9)
+            TupleTopKProbabilities(prepared, k, ties);
+        for (size_t i = 0; i < rows.size(); ++i) {
+          const size_t hi = std::min(static_cast<size_t>(k), rows[i].size());
+          EXPECT_EQ(std::min(ops.sum(rows[i].data(), hi), 1.0), batch[i])
               << "tuple " << i << " k=" << k;
         }
       }
@@ -41,72 +83,72 @@ TEST(ScoreOrderSweepTest, TopKProbabilityMatchesBatchComputation) {
   }
 }
 
-TEST(ScoreOrderSweepTest, PositionalProbabilitiesMatchBatchComputation) {
+TEST(TupleSweepStopHookTest, PositionalProbabilitiesMatchBatchComputation) {
   Rng rng(2);
-  TupleRelation rel = RandomSmallTuple(rng, 8);
-  const auto batch = TuplePositionalProbabilities(rel);
-  ScoreOrderSweep sweep(rel, TiePolicy::kBreakByIndex);
-  std::vector<double> positional;
-  while (sweep.HasNext()) {
-    const int i = sweep.Next();
-    sweep.PositionalProbabilities(5, &positional);
-    for (int r = 0; r < 5; ++r) {
-      EXPECT_NEAR(positional[static_cast<size_t>(r)],
-                  batch[static_cast<size_t>(i)][static_cast<size_t>(r)],
-                  1e-9);
-    }
-  }
-}
-
-TEST(ScoreOrderSweepTest, UnseenBoundsAreSound) {
-  Rng rng(3);
-  for (int trial = 0; trial < 10; ++trial) {
-    TupleRelation rel = RandomSmallTuple(rng, 10);
-    const int k = 3;
-    const std::vector<double> probs = TupleTopKProbabilities(Prepared(rel), k);
-    const auto positional = TuplePositionalProbabilities(rel);
-    ScoreOrderSweep sweep(rel, TiePolicy::kBreakByIndex);
-    std::vector<bool> seen(static_cast<size_t>(rel.size()), false);
-    while (sweep.HasNext()) {
-      seen[static_cast<size_t>(sweep.Next())] = true;
-      const double topk_bound = sweep.UnseenTopKBound(k);
-      for (int j = 0; j < rel.size(); ++j) {
-        if (seen[static_cast<size_t>(j)]) continue;
-        EXPECT_LE(probs[static_cast<size_t>(j)], topk_bound + 1e-9);
-        for (int r = 0; r < k; ++r) {
-          EXPECT_LE(
-              positional[static_cast<size_t>(j)][static_cast<size_t>(r)],
-              sweep.UnseenRankBound(r) + 1e-9);
-        }
+  const TupleRelation rel = RandomSmallTuple(rng, 8);
+  for (TiePolicy ties : kPolicies) {
+    const auto batch = TuplePositionalProbabilities(rel, ties);
+    const auto rows = DriverRows(
+        Prepared(rel), ties, [](size_t, const AlignedBuf&) { return false; });
+    for (size_t i = 0; i < rows.size(); ++i) {
+      for (size_t r = 0; r < batch[i].size(); ++r) {
+        EXPECT_EQ(r < rows[i].size() ? rows[i][r] : 0.0, batch[i][r])
+            << "tuple " << i << " rank " << r;
       }
     }
   }
 }
 
-TEST(ScoreOrderSweepDeathTest, QueriesBeforeNext) {
-  TupleRelation rel = PaperFig4();
-  ScoreOrderSweep sweep(rel, TiePolicy::kBreakByIndex);
-  EXPECT_DEATH(sweep.TopKProbability(1), "before Next");
+TEST(TupleSweepStopHookTest, UnseenBoundsAreSound) {
+  // At every run boundary, each tuple not yet visited has top-k
+  // probability <= CDF(k) and rank-r probability <= CDF(r + 1) of the
+  // hook's flushed pmf — the PT-k / Global-Topk and U-kRanks stop bounds.
+  Rng rng(3);
+  const int k = 3;
+  for (int trial = 0; trial < 10; ++trial) {
+    const TupleRelation rel = RandomSmallTuple(rng, 10);
+    const PreparedTupleRelation prepared = Prepared(rel);
+    for (TiePolicy ties : kPolicies) {
+      const std::vector<double> probs =
+          TupleTopKProbabilities(prepared, k, ties);
+      const auto positional = TuplePositionalProbabilities(rel, ties);
+      const std::vector<int>& order = prepared.rank_order();
+      int boundaries = 0;
+      DriverRows(prepared, ties, [&](size_t next_pos, const AlignedBuf& pmf) {
+        ++boundaries;
+        for (size_t idx = next_pos; idx < order.size(); ++idx) {
+          const size_t j = static_cast<size_t>(order[idx]);
+          EXPECT_LE(probs[j], Cdf(pmf, k) + 1e-9) << "tuple " << j;
+          for (int r = 0; r < k; ++r) {
+            EXPECT_LE(positional[j][static_cast<size_t>(r)],
+                      Cdf(pmf, static_cast<size_t>(r) + 1) + 1e-9)
+                << "tuple " << j << " rank " << r;
+          }
+        }
+        return false;
+      });
+      EXPECT_GT(boundaries, 0);
+    }
+  }
 }
 
 TEST(TupleGlobalTopKPrunedTest, MatchesUnprunedOnPaperExample) {
   for (int k = 1; k <= 4; ++k) {
-    const GlobalTopKPruneResult pruned = TupleGlobalTopKPruned(PaperFig4(), k);
-    EXPECT_EQ(pruned.ids, TupleGlobalTopK(Prepared(PaperFig4()), k))
-        << "k=" << k;
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    ExpectPruneMatchesUnpruned(PaperFig4(),
+                               Request(RankingSemantics::kGlobalTopk, k));
   }
 }
 
 TEST(TupleGlobalTopKPrunedTest, MatchesUnprunedOnRandomInstances) {
   Rng rng(4);
   for (int trial = 0; trial < 20; ++trial) {
-    TupleRelation rel = RandomSmallTuple(rng, 10);
+    const TupleRelation rel = RandomSmallTuple(rng, 10);
     for (int k : {1, 3, 6}) {
-      for (TiePolicy ties :
-           {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
-        EXPECT_EQ(TupleGlobalTopKPruned(rel, k, ties).ids,
-                  TupleGlobalTopK(Prepared(rel), k, ties))
-            << "k=" << k;
+      for (TiePolicy ties : kPolicies) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k);
+        ExpectPruneMatchesUnpruned(
+            rel, Request(RankingSemantics::kGlobalTopk, k, ties));
       }
     }
   }
@@ -117,29 +159,30 @@ TEST(TupleGlobalTopKPrunedTest, StopsEarlyOnLargeRelations) {
   config.num_tuples = 5000;
   config.prob_lo = 0.4;
   config.seed = 5;
-  TupleRelation rel = GenerateTupleRelation(config);
-  const GlobalTopKPruneResult pruned = TupleGlobalTopKPruned(rel, 20);
-  EXPECT_LT(pruned.accessed, rel.size() / 10);
-  EXPECT_EQ(pruned.ids, TupleGlobalTopK(Prepared(rel), 20));
+  const TupleRelation rel = GenerateTupleRelation(config);
+  const QueryStats stats = ExpectPruneMatchesUnpruned(
+      rel, Request(RankingSemantics::kGlobalTopk, 20));
+  EXPECT_GT(stats.tuples_scanned, 0);
+  EXPECT_LT(stats.tuples_scanned, rel.size() / 10);
 }
 
 TEST(TupleUKRanksPrunedTest, MatchesUnprunedOnPaperExample) {
   for (int k = 1; k <= 4; ++k) {
-    const UKRanksPruneResult pruned = TupleUKRanksPruned(PaperFig4(), k);
-    EXPECT_EQ(pruned.ids, TupleUKRanks(Prepared(PaperFig4()), k)) << "k=" << k;
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    ExpectPruneMatchesUnpruned(PaperFig4(),
+                               Request(RankingSemantics::kUKRanks, k));
   }
 }
 
 TEST(TupleUKRanksPrunedTest, MatchesUnprunedOnRandomInstances) {
   Rng rng(6);
   for (int trial = 0; trial < 20; ++trial) {
-    TupleRelation rel = RandomSmallTuple(rng, 10);
+    const TupleRelation rel = RandomSmallTuple(rng, 10);
     for (int k : {1, 3, 6}) {
-      for (TiePolicy ties :
-           {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
-        EXPECT_EQ(TupleUKRanksPruned(rel, k, ties).ids,
-                  TupleUKRanks(Prepared(rel), k, ties))
-            << "k=" << k;
+      for (TiePolicy ties : kPolicies) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k);
+        ExpectPruneMatchesUnpruned(
+            rel, Request(RankingSemantics::kUKRanks, k, ties));
       }
     }
   }
@@ -150,15 +193,17 @@ TEST(TupleUKRanksPrunedTest, StopsEarlyOnLargeRelations) {
   config.num_tuples = 5000;
   config.prob_lo = 0.4;
   config.seed = 7;
-  TupleRelation rel = GenerateTupleRelation(config);
-  const UKRanksPruneResult pruned = TupleUKRanksPruned(rel, 10);
-  EXPECT_LT(pruned.accessed, rel.size() / 10);
-  EXPECT_EQ(pruned.ids, TupleUKRanks(Prepared(rel), 10));
+  const TupleRelation rel = GenerateTupleRelation(config);
+  const QueryStats stats = ExpectPruneMatchesUnpruned(
+      rel, Request(RankingSemantics::kUKRanks, 10));
+  EXPECT_GT(stats.tuples_scanned, 0);
+  EXPECT_LT(stats.tuples_scanned, rel.size() / 10);
 }
 
 TEST(PrunedSemanticsDeathTest, RejectBadArguments) {
-  EXPECT_DEATH(TupleGlobalTopKPruned(PaperFig4(), 0), "k must be >= 1");
-  EXPECT_DEATH(TupleUKRanksPruned(PaperFig4(), 0), "k must be >= 1");
+  EXPECT_DEATH(TupleGlobalTopKPrune(Prepared(PaperFig4()), 0),
+               "k must be >= 1");
+  EXPECT_DEATH(TupleUKRanksPrune(Prepared(PaperFig4()), 0), "k must be >= 1");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/engine/query_engine.h"
 #include "core/semantics/global_topk.h"
 #include "core/semantics/pt_k.h"
 #include "core/semantics/semantics.h"
@@ -118,12 +119,20 @@ TEST(GlobalTopKTest, AgreesWithTopKProbabilities) {
   }
 }
 
+// PT-k through QueryEngine::Run with QueryRequest::prune at `threshold`.
+QueryRequest PTkRequest(int k, double threshold,
+                        TiePolicy ties = TiePolicy::kBreakByIndex) {
+  QueryRequest request = testing_util::Request(RankingSemantics::kPTk, k, ties);
+  request.options.threshold = threshold;
+  return request;
+}
+
 TEST(TuplePTkPrunedTest, MatchesUnprunedOnPaperExample) {
   for (double threshold : {0.1, 0.3, 0.5, 0.9}) {
-    const PTkPruneResult pruned = TuplePTkPruned(PaperFig4(), 2, threshold);
-    EXPECT_EQ(pruned.ids, TuplePTk(Prepared(PaperFig4()), 2, threshold))
-        << "threshold " << threshold;
-    EXPECT_LE(pruned.accessed, 4);
+    SCOPED_TRACE(::testing::Message() << "threshold " << threshold);
+    const QueryStats stats = testing_util::ExpectPruneMatchesUnpruned(
+        PaperFig4(), PTkRequest(2, threshold));
+    EXPECT_LE(stats.tuples_scanned, 4);
   }
 }
 
@@ -135,9 +144,10 @@ TEST(TuplePTkPrunedTest, MatchesUnprunedOnRandomInstances) {
       for (double threshold : {0.05, 0.3, 0.7}) {
         for (TiePolicy ties :
              {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
-          EXPECT_EQ(TuplePTkPruned(rel, k, threshold, ties).ids,
-                    TuplePTk(Prepared(rel), k, threshold, ties))
-              << "k=" << k << " p=" << threshold;
+          SCOPED_TRACE(::testing::Message() << "k=" << k
+                                            << " p=" << threshold);
+          testing_util::ExpectPruneMatchesUnpruned(
+              rel, PTkRequest(k, threshold, ties));
         }
       }
     }
@@ -150,9 +160,10 @@ TEST(TuplePTkPrunedTest, StopsEarlyOnLargeRelations) {
   config.prob_lo = 0.5;
   config.seed = 12;
   TupleRelation rel = GenerateTupleRelation(config);
-  const PTkPruneResult pruned = TuplePTkPruned(rel, 20, 0.5);
-  EXPECT_LT(pruned.accessed, rel.size() / 10);
-  EXPECT_EQ(pruned.ids, TuplePTk(Prepared(rel), 20, 0.5));
+  const QueryStats stats =
+      testing_util::ExpectPruneMatchesUnpruned(rel, PTkRequest(20, 0.5));
+  EXPECT_GT(stats.tuples_scanned, 0);
+  EXPECT_LT(stats.tuples_scanned, rel.size() / 10);
 }
 
 TEST(TuplePTkPrunedTest, HigherThresholdPrunesEarlier) {
@@ -160,15 +171,24 @@ TEST(TuplePTkPrunedTest, HigherThresholdPrunesEarlier) {
   config.num_tuples = 5000;
   config.prob_lo = 0.3;
   config.seed = 13;
-  TupleRelation rel = GenerateTupleRelation(config);
-  const int low = TuplePTkPruned(rel, 20, 0.05).accessed;
-  const int high = TuplePTkPruned(rel, 20, 0.8).accessed;
-  EXPECT_LE(high, low);
+  const QueryEngine engine{GenerateTupleRelation(config)};
+  QueryRequest low = PTkRequest(20, 0.05);
+  low.prune = true;
+  QueryRequest high = PTkRequest(20, 0.8);
+  high.prune = true;
+  const QueryResult low_result = engine.Run(low);
+  const QueryResult high_result = engine.Run(high);
+  ASSERT_TRUE(low_result.status.ok());
+  ASSERT_TRUE(high_result.status.ok());
+  EXPECT_GT(high_result.stats.tuples_scanned, 0);
+  EXPECT_LE(high_result.stats.tuples_scanned,
+            low_result.stats.tuples_scanned);
 }
 
 TEST(TuplePTkPrunedDeathTest, RejectsBadArguments) {
-  EXPECT_DEATH(TuplePTkPruned(PaperFig4(), 0, 0.5), "k must be >= 1");
-  EXPECT_DEATH(TuplePTkPruned(PaperFig4(), 1, 0.0), "threshold");
+  EXPECT_DEATH(TuplePTkPrune(Prepared(PaperFig4()), 0, 0.5),
+               "k must be >= 1");
+  EXPECT_DEATH(TuplePTkPrune(Prepared(PaperFig4()), 1, 0.0), "threshold");
 }
 
 TEST(PTkGlobalTopKDeathTest, RejectsBadArguments) {

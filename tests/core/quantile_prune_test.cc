@@ -241,13 +241,13 @@ TEST(PruneEngineTest, QueryRequestPruneIsIdenticalAndReportsStats) {
   EXPECT_EQ(cached.stats.prune_stop_position, -1);
   EXPECT_EQ(cached.answer.ids, base.answer.ids);
 
-  // Prune is ignored for non-quantile semantics.
-  QueryRequest er = pruned;
-  er.options.semantics = RankingSemantics::kExpectedRank;
-  const QueryResult er_result = engine.Run(er);
-  ASSERT_TRUE(er_result.status.ok());
-  EXPECT_EQ(er_result.stats.tuples_scanned, 0);
-  EXPECT_EQ(er_result.stats.prune_stop_position, -1);
+  // Prune is ignored for semantics without a pruned kernel.
+  QueryRequest es = pruned;
+  es.options.semantics = RankingSemantics::kExpectedScore;
+  const QueryResult es_result = engine.Run(es);
+  ASSERT_TRUE(es_result.status.ok());
+  EXPECT_EQ(es_result.stats.tuples_scanned, 0);
+  EXPECT_EQ(es_result.stats.prune_stop_position, -1);
 }
 
 TEST(PruneEngineTest, MedianRankPruneMatchesAttr) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/engine/prepared_relation.h"
+#include "core/engine/query_engine.h"
 #include "gtest/gtest.h"
 #include "model/attr_model.h"
 #include "model/tuple_model.h"
@@ -124,6 +125,40 @@ inline void ExpectNearVectors(std::span<const double> actual,
   for (size_t i = 0; i < actual.size(); ++i) {
     EXPECT_NEAR(actual[i], expected[i], tol) << "at index " << i;
   }
+}
+
+// Runs `request` with prune=true on a fresh engine over `rel`, then with
+// prune=false on the same engine (a pruned run never warms the memo, so
+// the second run is the full unpruned kernel), and expects bit-identical
+// answers — ids and statistics, EXPECT_EQ. Also checks the pruned run's
+// scan statistics are sound. Returns the pruned run's stats.
+template <typename Relation>
+QueryStats ExpectPruneMatchesUnpruned(const Relation& rel,
+                                      QueryRequest request) {
+  const QueryEngine engine{QueryEngine::Prepare(rel)};
+  request.prune = true;
+  const QueryResult pruned = engine.Run(request);
+  request.prune = false;
+  const QueryResult full = engine.Run(request);
+  EXPECT_TRUE(pruned.status.ok()) << pruned.status.message;
+  EXPECT_TRUE(full.status.ok()) << full.status.message;
+  EXPECT_EQ(pruned.answer.ids, full.answer.ids);
+  EXPECT_EQ(pruned.answer.statistics, full.answer.statistics);
+  EXPECT_FALSE(pruned.stats.reused_cache);
+  EXPECT_LE(pruned.stats.tuples_scanned, pruned.stats.prune_stop_position);
+  EXPECT_LE(pruned.stats.prune_stop_position, rel.size());
+  return pruned.stats;
+}
+
+// A QueryRequest for `semantics` at `k` under `ties` (phi and threshold
+// keep their defaults unless the caller sets them).
+inline QueryRequest Request(RankingSemantics semantics, int k,
+                            TiePolicy ties = TiePolicy::kBreakByIndex) {
+  QueryRequest request;
+  request.options.semantics = semantics;
+  request.options.k = k;
+  request.options.ties = ties;
+  return request;
 }
 
 }  // namespace testing_util

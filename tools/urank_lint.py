@@ -28,8 +28,8 @@ cannot see:
                    core/expected_rank_*.h, core/quantile_rank.h) from other
                    src/ subsystems or examples/ are flagged. Suppress only
                    where an example deliberately shows a paper algorithm
-                   the engine does not route (T-ERank-Prune,
-                   A-ERank-Prune), and name that algorithm in the comment.
+                   the engine does not route (A-ERank-Prune, which is
+                   approximate), and name that algorithm in the comment.
   kernel-vectorize the hot DP kernel files must not hand-roll elementwise
                    array sweeps or indexed reductions inside for/while
                    bodies: those inner loops belong behind the dispatch
@@ -336,7 +336,6 @@ KERNEL_FILES = (
     "src/core/expected_rank_tuple.cc",
     "src/core/semantics/semantics.cc",
     "src/core/semantics/u_kranks.cc",
-    "src/core/semantics/score_sweep.cc",
     "src/util/poisson_binomial.cc",
 )
 
