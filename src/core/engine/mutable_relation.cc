@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
 #include <utility>
 
-#include "core/internal/vector_kernels.h"
+#include "core/engine/prepared_builder.h"
 #include "util/check.h"
 #include "util/metrics.h"
 
@@ -43,54 +44,31 @@ void SetError(std::string* error, std::string message) {
 // publish time.
 constexpr double kTolerance = internal::kContractTolerance;
 
+constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
 }  // namespace
 
+namespace engine_internal {
+
 // ---------------------------------------------------------------------------
-// MutableTupleRelation
+// TupleStoreModel
 
-MutableTupleRelation::MutableTupleRelation(MutableRelationOptions options)
-    : options_(options) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  PublishLocked();
-}
-
-MutableTupleRelation::MutableTupleRelation(const TupleRelation& rel,
-                                           MutableRelationOptions options)
-    : options_(options) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  entries_.reserve(static_cast<std::size_t>(rel.size()));
-  for (int i = 0; i < rel.size(); ++i) {
-    // Keying by the rule index preserves the relation's rule structure
-    // (implicit singletons included — every tuple has a rule index).
-    const std::size_t idx = entries_.size();
-    const long long key = rel.rule_of(i);
-    entries_.push_back(Entry{rel.tuple(i), key, true});
-    live_by_id_[rel.tuple(i).id] = idx;
-    rule_members_[key].push_back(idx);
-  }
-  live_count_ = entries_.size();
-  PublishLocked();
-}
-
-double MutableTupleRelation::LiveRuleMass(long long rule_key) const {
+double TupleStoreModel::LiveRuleMass(const Log& log,
+                                     long long rule_key) const {
   const auto it = rule_members_.find(rule_key);
   if (it == rule_members_.end()) return 0.0;
   // Left-to-right over live members in arrival order: the exact additions
   // TupleRelation::Validate performs over the published rule vector.
   double mass = 0.0;
   for (std::size_t idx : it->second) {
-    if (entries_[idx].alive) mass += entries_[idx].tuple.prob;
+    if (log[idx].alive) mass += log[idx].entry.tuple.prob;
   }
   return mass;
 }
 
-bool MutableTupleRelation::InsertLocked(const TLTuple& tuple,
-                                        long long rule_key,
-                                        std::string* error) {
-  if (live_by_id_.count(tuple.id) > 0) {
-    SetError(error, "duplicate tuple id " + std::to_string(tuple.id));
-    return false;
-  }
+bool TupleStoreModel::Admit(const Log& log, Entry* e,
+                            std::string* error) const {
+  const TLTuple& tuple = e->tuple;
   if (!(tuple.prob > 0.0) || tuple.prob > 1.0 + kTolerance) {
     SetError(error, "tuple " + std::to_string(tuple.id) +
                         " has a probability outside (0,1]");
@@ -101,79 +79,251 @@ bool MutableTupleRelation::InsertLocked(const TLTuple& tuple,
                         " has a non-finite score");
     return false;
   }
-  if (rule_key >= 0) {
-    const double mass = LiveRuleMass(rule_key) + tuple.prob;
+  if (e->rule_key >= 0) {
+    const double mass = LiveRuleMass(log, e->rule_key) + tuple.prob;
     if (mass > 1.0 + kTolerance) {
-      SetError(error, "rule " + std::to_string(rule_key) +
+      SetError(error, "rule " + std::to_string(e->rule_key) +
                           " probabilities would sum to " +
                           std::to_string(mass) + " > 1");
       return false;
     }
   }
-  const std::size_t idx = entries_.size();
-  entries_.push_back(Entry{tuple, rule_key, true});
-  live_by_id_[tuple.id] = idx;
-  if (rule_key >= 0) rule_members_[rule_key].push_back(idx);
-  ++live_count_;
-  dirty_ = true;
   return true;
 }
 
-bool MutableTupleRelation::DeleteLocked(int id, std::string* error) {
+void TupleStoreModel::Appended(const Entry& e, std::size_t idx) {
+  if (e.rule_key >= 0) rule_members_[e.rule_key].push_back(idx);
+}
+
+void TupleStoreModel::Truncated(const Log& log, std::size_t old_size) {
+  for (std::size_t idx = old_size; idx < log.size(); ++idx) {
+    const long long key = log[idx].entry.rule_key;
+    if (key < 0) continue;
+    std::vector<std::size_t>& members = rule_members_[key];
+    while (!members.empty() && members.back() >= old_size) {
+      members.pop_back();
+    }
+  }
+}
+
+void TupleStoreModel::Compacted(const std::vector<std::size_t>& remap) {
+  for (auto it = rule_members_.begin(); it != rule_members_.end();) {
+    std::vector<std::size_t> kept;
+    for (std::size_t idx : it->second) {
+      if (remap[idx] != kNpos) kept.push_back(remap[idx]);
+    }
+    if (kept.empty()) {
+      it = rule_members_.erase(it);
+    } else {
+      it->second = std::move(kept);
+      ++it;
+    }
+  }
+}
+
+std::shared_ptr<const PreparedTupleRelation> TupleStoreModel::Assemble(
+    const Log& log, const std::vector<std::size_t>& live,
+    std::vector<int> order, ValueRun /*values*/) const {
+  std::vector<TLTuple> tuples;
+  tuples.reserve(live.size());
+  RuleNumbering numbering;
+  for (std::size_t idx : live) {
+    const Entry& e = log[idx].entry;
+    numbering.Add(e.rule_key, static_cast<int>(tuples.size()));
+    tuples.push_back(e.tuple);
+  }
+  std::vector<std::vector<int>> rules = numbering.Take();
+  TuplePreparedSeed seed = FinishTupleSeed(tuples, std::move(order));
+  TupleRelation rel(std::move(tuples), std::move(rules));
+  return std::make_shared<const PreparedTupleRelation>(std::move(rel),
+                                                       std::move(seed));
+}
+
+// ---------------------------------------------------------------------------
+// AttrStoreModel
+
+void AttrStoreModel::Derive(Entry* e) {
+  e->expected_score = e->tuple.ExpectedScore();
+  std::vector<ScoreValue> scratch;
+  e->sorted_pdf.Build(e->tuple, &scratch);
+}
+
+AttrStoreModel::Entry AttrStoreModel::FromRelation(const AttrRelation& rel,
+                                                   int i) {
+  Entry e = MakeEntry(rel.tuple(i));
+  Derive(&e);
+  return e;
+}
+
+bool AttrStoreModel::Admit(const Log& /*log*/, Entry* e,
+                           std::string* error) const {
+  // Exactly the model validator's per-tuple rules, run on a one-element
+  // relation.
+  std::string model_error;
+  if (!AttrRelation::Validate({e->tuple}, &model_error)) {
+    SetError(error, std::move(model_error));
+    return false;
+  }
+  Derive(e);
+  return true;
+}
+
+void AttrStoreModel::Compacted(const std::vector<std::size_t>& remap) {
+  for (ValueItem& item : base_value_run_) item.owner = remap[item.owner];
+}
+
+internal::ValueUniverse AttrStoreModel::MergeValueRun(
+    const Log& log, std::size_t delta_start, bool consolidate) {
+  std::vector<ValueItem> delta_values;
+  for (std::size_t idx = delta_start; idx < log.size(); ++idx) {
+    if (!log[idx].alive) continue;
+    for (const ScoreValue& sv : log[idx].entry.tuple.pdf) {
+      delta_values.push_back(ValueItem{sv.value, sv.prob, idx});
+    }
+  }
+  std::sort(delta_values.begin(), delta_values.end());
+
+  // The projected (value, mass) sequence is exactly the BuildValueUniverse
+  // sort over the live entries' pairs: equal-value masses appear
+  // ascending, and equal (value, mass) items add identically in any order.
+  std::vector<ValueItem> merged;
+  if (consolidate) {
+    merged.reserve(base_value_run_.size() + delta_values.size());
+  }
+  const std::vector<ValueItem>* runs[] = {&base_value_run_, &delta_values};
+  internal::ValueUniverse universe =
+      internal::CollapseSortedValues([&](const auto& add) {
+        MergeSortedRuns(
+            runs, std::less<>{},
+            [&log](const ValueItem& item) { return log[item.owner].alive; },
+            [&](const ValueItem& item) {
+              add(item.value, item.prob);
+              if (consolidate) merged.push_back(item);
+            });
+      });
+  if (consolidate) base_value_run_ = std::move(merged);
+  return universe;
+}
+
+std::shared_ptr<const PreparedAttrRelation> AttrStoreModel::Assemble(
+    const Log& log, const std::vector<std::size_t>& live,
+    std::vector<int> order, ValueRun values) const {
+  std::vector<AttrTuple> tuples;
+  AttrPreparedSeed seed;
+  tuples.reserve(live.size());
+  seed.expected_scores.reserve(live.size());
+  seed.sorted_pdfs.reserve(live.size());
+  for (std::size_t idx : live) {
+    const Entry& e = log[idx].entry;
+    tuples.push_back(e.tuple);
+    seed.expected_scores.push_back(e.expected_score);
+    seed.sorted_pdfs.push_back(e.sorted_pdf);
+  }
+  seed.escore_order = std::move(order);
+  seed.universe = std::move(values);
+  AttrRelation rel(std::move(tuples));
+  return std::make_shared<const PreparedAttrRelation>(std::move(rel),
+                                                      std::move(seed));
+}
+
+}  // namespace engine_internal
+
+// ---------------------------------------------------------------------------
+// MutableRelation
+
+template <typename Traits>
+MutableRelation<Traits>::MutableRelation(MutableRelationOptions options)
+    : options_(options) {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  PublishLocked();
+}
+
+template <typename Traits>
+MutableRelation<Traits>::MutableRelation(const Relation& rel,
+                                         MutableRelationOptions options)
+    : options_(options) {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  entries_.reserve(static_cast<std::size_t>(rel.size()));
+  for (int i = 0; i < rel.size(); ++i) {
+    AppendLocked(Traits::FromRelation(rel, i));
+  }
+  PublishLocked();
+}
+
+template <typename Traits>
+void MutableRelation<Traits>::AppendLocked(Entry entry) {
+  const std::size_t idx = entries_.size();
+  live_by_id_[entry.tuple.id] = idx;
+  model_.Appended(entry, idx);
+  entries_.push_back({std::move(entry), true});
+  ++live_count_;
+  dirty_ = true;
+}
+
+template <typename Traits>
+bool MutableRelation<Traits>::InsertLocked(Entry entry, std::string* error) {
+  if (live_by_id_.count(entry.tuple.id) > 0) {
+    SetError(error, "duplicate tuple id " + std::to_string(entry.tuple.id));
+    return false;
+  }
+  if (!model_.Admit(entries_, &entry, error)) return false;
+  AppendLocked(std::move(entry));
+  return true;
+}
+
+template <typename Traits>
+std::size_t MutableRelation<Traits>::KillLocked(int id, std::string* error) {
   const auto it = live_by_id_.find(id);
   if (it == live_by_id_.end()) {
     SetError(error, "no live tuple with id " + std::to_string(id));
-    return false;
+    return kNpos;
   }
-  entries_[it->second].alive = false;
+  const std::size_t idx = it->second;
+  entries_[idx].alive = false;
   live_by_id_.erase(it);
   --live_count_;
+  return idx;
+}
+
+template <typename Traits>
+bool MutableRelation<Traits>::InsertEntry(Entry entry, std::string* error) {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  if (!InsertLocked(std::move(entry), error)) return false;
+  MutationMetrics::Get().mutations.Increment();
+  return true;
+}
+
+template <typename Traits>
+bool MutableRelation<Traits>::Delete(int id, std::string* error) {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  if (KillLocked(id, error) == kNpos) return false;
   dirty_ = true;
-  return true;
-}
-
-bool MutableTupleRelation::Insert(const TLTuple& tuple, long long rule_key,
-                                  std::string* error) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  if (!InsertLocked(tuple, rule_key, error)) return false;
   MutationMetrics::Get().mutations.Increment();
   return true;
 }
 
-bool MutableTupleRelation::Delete(int id, std::string* error) {
+template <typename Traits>
+bool MutableRelation<Traits>::UpdateEntry(Entry entry, std::string* error) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  if (!DeleteLocked(id, error)) return false;
-  MutationMetrics::Get().mutations.Increment();
-  return true;
-}
-
-bool MutableTupleRelation::Update(const TLTuple& tuple, long long rule_key,
-                                  std::string* error) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  const auto it = live_by_id_.find(tuple.id);
-  if (it == live_by_id_.end()) {
-    SetError(error, "no live tuple with id " + std::to_string(tuple.id));
-    return false;
-  }
-  // Tombstone the old version first so the rule-mass gate sees the rule
-  // without it, then re-insert at the tail; restore on failure.
-  const std::size_t old_idx = it->second;
-  entries_[old_idx].alive = false;
-  live_by_id_.erase(it);
-  --live_count_;
-  if (!InsertLocked(tuple, rule_key, error)) {
+  const int id = entry.tuple.id;
+  // Tombstone the old version first so the model's gate (the rule mass)
+  // sees the log without it, then re-insert at the tail; restore on
+  // failure.
+  const std::size_t old_idx = KillLocked(id, error);
+  if (old_idx == kNpos) return false;
+  if (!InsertLocked(std::move(entry), error)) {
     entries_[old_idx].alive = true;
-    live_by_id_[tuple.id] = old_idx;
+    live_by_id_[id] = old_idx;
     ++live_count_;
     return false;
   }
-  dirty_ = true;
   MutationMetrics::Get().mutations.Increment();
   return true;
 }
 
-bool MutableTupleRelation::Apply(const std::vector<TupleMutation>& ops,
-                                 std::string* error) {
+template <typename Traits>
+bool MutableRelation<Traits>::Apply(const std::vector<Mutation>& ops,
+                                    std::string* error) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   // Undo journal: entries appended by the batch are truncated; entries
   // that were alive before the batch and died during it are revived.
@@ -183,15 +333,9 @@ bool MutableTupleRelation::Apply(const std::vector<TupleMutation>& ops,
   std::vector<std::size_t> killed;  // indices < old_size flipped dead
 
   auto kill_tracked = [&](int id, std::string* err) {
-    const auto it = live_by_id_.find(id);
-    if (it == live_by_id_.end()) {
-      SetError(err, "no live tuple with id " + std::to_string(id));
-      return false;
-    }
-    if (it->second < old_size) killed.push_back(it->second);
-    entries_[it->second].alive = false;
-    live_by_id_.erase(it);
-    --live_count_;
+    const std::size_t idx = KillLocked(id, err);
+    if (idx == kNpos) return false;
+    if (idx < old_size) killed.push_back(idx);
     return true;
   };
 
@@ -199,18 +343,18 @@ bool MutableTupleRelation::Apply(const std::vector<TupleMutation>& ops,
   bool ok = true;
   std::size_t failed_at = 0;
   for (std::size_t i = 0; i < ops.size() && ok; ++i) {
-    const TupleMutation& op = ops[i];
+    const Mutation& op = ops[i];
     failed_at = i;
     switch (op.op) {
-      case TupleMutation::Op::kInsert:
-        ok = InsertLocked(op.tuple, op.rule_key, &op_error);
+      case MutationOp::kInsert:
+        ok = InsertLocked(Traits::FromMutation(op), &op_error);
         break;
-      case TupleMutation::Op::kDelete:
+      case MutationOp::kDelete:
         ok = kill_tracked(op.id, &op_error);
         break;
-      case TupleMutation::Op::kUpdate:
+      case MutationOp::kUpdate:
         ok = kill_tracked(op.tuple.id, &op_error) &&
-             InsertLocked(op.tuple, op.rule_key, &op_error);
+             InsertLocked(Traits::FromMutation(op), &op_error);
         break;
     }
   }
@@ -224,18 +368,14 @@ bool MutableTupleRelation::Apply(const std::vector<TupleMutation>& ops,
   // Roll back: drop batch-appended entries and their bookkeeping, then
   // revive the pre-batch entries the batch tombstoned.
   for (std::size_t idx = old_size; idx < entries_.size(); ++idx) {
-    live_by_id_.erase(entries_[idx].tuple.id);
-    if (entries_[idx].rule_key >= 0) {
-      std::vector<std::size_t>& members = rule_members_[entries_[idx].rule_key];
-      while (!members.empty() && members.back() >= old_size) {
-        members.pop_back();
-      }
-    }
+    live_by_id_.erase(entries_[idx].entry.tuple.id);
   }
-  entries_.resize(old_size);
+  model_.Truncated(entries_, old_size);
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(old_size),
+                 entries_.end());
   for (std::size_t idx : killed) {
     entries_[idx].alive = true;
-    live_by_id_[entries_[idx].tuple.id] = idx;
+    live_by_id_[entries_[idx].entry.tuple.id] = idx;
   }
   live_count_ = old_live;
   dirty_ = old_dirty;
@@ -243,13 +383,13 @@ bool MutableTupleRelation::Apply(const std::vector<TupleMutation>& ops,
   return false;
 }
 
-void MutableTupleRelation::CompactLocked() {
+template <typename Traits>
+void MutableRelation<Traits>::CompactLocked() {
   // Arrival-order-preserving removal of tombstones. Only called right
   // after a consolidation, so base_run_ holds live entries only and the
   // delta is empty.
-  std::vector<std::size_t> remap(entries_.size(),
-                                 static_cast<std::size_t>(-1));
-  std::vector<Entry> live;
+  std::vector<std::size_t> remap(entries_.size(), kNpos);
+  typename Traits::Log live;
   live.reserve(live_count_);
   for (std::size_t idx = 0; idx < entries_.size(); ++idx) {
     if (!entries_[idx].alive) continue;
@@ -259,480 +399,65 @@ void MutableTupleRelation::CompactLocked() {
   entries_ = std::move(live);
   for (std::size_t& idx : base_run_) idx = remap[idx];
   for (auto& [id, idx] : live_by_id_) idx = remap[idx];
-  for (auto it = rule_members_.begin(); it != rule_members_.end();) {
-    std::vector<std::size_t> kept;
-    for (std::size_t idx : it->second) {
-      if (remap[idx] != static_cast<std::size_t>(-1)) {
-        kept.push_back(remap[idx]);
-      }
-    }
-    if (kept.empty()) {
-      it = rule_members_.erase(it);
-    } else {
-      it->second = std::move(kept);
-      ++it;
-    }
-  }
+  model_.Compacted(remap);
   delta_start_ = entries_.size();
   ++compactions_;
   MutationMetrics::Get().compactions.Increment();
 }
 
-void MutableTupleRelation::PublishLocked() {
-  // (score desc, entry index asc): a strict total order (indices unique),
-  // so merged runs equal the eager std::sort output over the live set.
-  auto better = [this](std::size_t a, std::size_t b) {
-    const double sa = entries_[a].tuple.score;
-    const double sb = entries_[b].tuple.score;
-    if (sa != sb) return sa > sb;
-    return a < b;
-  };
+template <typename Traits>
+void MutableRelation<Traits>::PublishLocked() {
+  const auto before = engine_internal::KeyDescIndexAsc(
+      [this](std::size_t i) { return Traits::Key(entries_[i].entry); });
 
   std::vector<std::size_t> delta_run;
   delta_run.reserve(entries_.size() - delta_start_);
   for (std::size_t idx = delta_start_; idx < entries_.size(); ++idx) {
     if (entries_[idx].alive) delta_run.push_back(idx);
   }
-  std::sort(delta_run.begin(), delta_run.end(), better);
-
-  // 2-way merge, filtering entries tombstoned since consolidation.
-  std::vector<std::size_t> merged;
-  merged.reserve(live_count_);
-  std::size_t bi = 0;
-  std::size_t di = 0;
-  while (bi < base_run_.size() && !entries_[base_run_[bi]].alive) ++bi;
-  while (bi < base_run_.size() || di < delta_run.size()) {
-    if (di == delta_run.size() ||
-        (bi < base_run_.size() && better(base_run_[bi], delta_run[di]))) {
-      merged.push_back(base_run_[bi]);
-      ++bi;
-      while (bi < base_run_.size() && !entries_[base_run_[bi]].alive) ++bi;
-    } else {
-      merged.push_back(delta_run[di]);
-      ++di;
-    }
-  }
-
+  std::sort(delta_run.begin(), delta_run.end(), before);
   const bool consolidate =
       delta_run.size() >= options_.delta_merge_threshold;
+
+  // Base + delta, filtering entries tombstoned since consolidation.
+  std::vector<std::size_t> merged;
+  merged.reserve(live_count_);
+  const std::vector<std::size_t>* runs[] = {&base_run_, &delta_run};
+  engine_internal::MergeSortedRuns(
+      runs, before, [this](std::size_t i) { return entries_[i].alive; },
+      [&merged](std::size_t i) { merged.push_back(i); });
+  typename Traits::ValueRun values =
+      model_.MergeValueRun(entries_, delta_start_, consolidate);
+
   if (consolidate) {
-    base_run_ = merged;
+    base_run_ = std::move(merged);
     delta_start_ = entries_.size();
     ++delta_merges_;
     MutationMetrics::Get().delta_merges.Increment();
     const std::size_t dead = entries_.size() - live_count_;
     if (dead > live_count_ && dead >= options_.compact_min_dead) {
       CompactLocked();
-      // merged indexes pre-compaction entries; relabeling below uses the
-      // pre-compaction arrival order, so rebuild merged from the (already
-      // relabeled) base run instead.
-      merged.assign(base_run_.begin(), base_run_.end());
     }
   }
+  const std::vector<std::size_t>& order_run = consolidate ? base_run_ : merged;
 
-  // Canonical logical contents: live entries in arrival order; rules
-  // grouped by key, numbered by first live appearance, members in
-  // arrival order (the prepared_builder convention).
-  std::vector<std::size_t> pos_of_entry(entries_.size(),
-                                        static_cast<std::size_t>(-1));
-  std::vector<TLTuple> tuples;
-  std::vector<std::vector<int>> rules;
-  tuples.reserve(live_count_);
-  {
-    std::unordered_map<long long, std::size_t> rule_of_key;
-    for (std::size_t idx = 0; idx < entries_.size(); ++idx) {
-      const Entry& e = entries_[idx];
-      if (!e.alive) continue;
-      pos_of_entry[idx] = tuples.size();
-      tuples.push_back(e.tuple);
-      if (e.rule_key >= 0) {
-        const auto [it, inserted] =
-            rule_of_key.try_emplace(e.rule_key, rules.size());
-        if (inserted) rules.emplace_back();
-        rules[it->second].push_back(static_cast<int>(pos_of_entry[idx]));
-      }
-    }
-  }
-
-  TuplePreparedSeed seed;
-  seed.rank_order.reserve(merged.size());
-  for (std::size_t idx : merged) {
-    seed.rank_order.push_back(static_cast<int>(pos_of_entry[idx]));
-  }
-  // One plain sequential pass — the exact left-to-right additions the
-  // eager constructor performs over its sorted order.
-  const std::size_t n = tuples.size();
-  seed.rank_probs.resize(n);
-  seed.prefix_prob.assign(n + 1, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double p =
-        tuples[static_cast<std::size_t>(seed.rank_order[j])].prob;
-    seed.rank_probs[j] = p;
-    seed.prefix_prob[j + 1] = seed.prefix_prob[j] + p;
-  }
-
-  TupleRelation rel(std::move(tuples), std::move(rules));
-  auto prepared = std::make_shared<const PreparedTupleRelation>(
-      std::move(rel), std::move(seed));
-
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    ++epoch_;
-    snapshot_ = std::move(prepared);
-    MutationMetrics::Get().epoch.SetMax(static_cast<double>(epoch_));
-  }
-  dirty_ = false;
-  MutationMetrics::Get().publishes.Increment();
-}
-
-TupleEpochSnapshot MutableTupleRelation::Publish() {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  if (dirty_) PublishLocked();
-  return Snapshot();
-}
-
-TupleEpochSnapshot MutableTupleRelation::Snapshot() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return {epoch_, snapshot_};
-}
-
-std::uint64_t MutableTupleRelation::epoch() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return epoch_;
-}
-
-void MutableTupleRelation::EnsureEpochAtLeast(std::uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (epoch_ < epoch) {
-    epoch_ = epoch;
-    MutationMetrics::Get().epoch.SetMax(static_cast<double>(epoch_));
-  }
-}
-
-long long MutableTupleRelation::live_size() const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return static_cast<long long>(live_count_);
-}
-
-bool MutableTupleRelation::dirty() const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return dirty_;
-}
-
-std::uint64_t MutableTupleRelation::delta_merges() const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return delta_merges_;
-}
-
-std::uint64_t MutableTupleRelation::compactions() const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return compactions_;
-}
-
-// ---------------------------------------------------------------------------
-// MutableAttrRelation
-
-MutableAttrRelation::MutableAttrRelation(MutableRelationOptions options)
-    : options_(options) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  PublishLocked();
-}
-
-MutableAttrRelation::MutableAttrRelation(const AttrRelation& rel,
-                                         MutableRelationOptions options)
-    : options_(options) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  std::string error;
-  for (int i = 0; i < rel.size(); ++i) {
-    const bool ok = InsertLocked(rel.tuple(i), &error);
-    URANK_CHECK_MSG(ok, error.c_str());
-  }
-  PublishLocked();
-}
-
-bool MutableAttrRelation::InsertLocked(const AttrTuple& tuple,
-                                       std::string* error) {
-  if (live_by_id_.count(tuple.id) > 0) {
-    SetError(error, "duplicate tuple id " + std::to_string(tuple.id));
-    return false;
-  }
-  // Per-tuple contract (pdf shape, probability mass): exactly the model
-  // validator's rules, run on a one-element relation.
-  std::string model_error;
-  if (!AttrRelation::Validate({tuple}, &model_error)) {
-    SetError(error, std::move(model_error));
-    return false;
-  }
-  Entry entry;
-  entry.expected_score = tuple.ExpectedScore();
-  std::vector<ScoreValue> scratch;
-  entry.sorted_pdf.Build(tuple, &scratch);
-  entry.tuple = tuple;
-  const std::size_t idx = entries_.size();
-  entries_.push_back(std::move(entry));
-  live_by_id_[tuple.id] = idx;
-  ++live_count_;
-  dirty_ = true;
-  return true;
-}
-
-bool MutableAttrRelation::DeleteLocked(int id, std::string* error) {
-  const auto it = live_by_id_.find(id);
-  if (it == live_by_id_.end()) {
-    SetError(error, "no live tuple with id " + std::to_string(id));
-    return false;
-  }
-  entries_[it->second].alive = false;
-  live_by_id_.erase(it);
-  --live_count_;
-  dirty_ = true;
-  return true;
-}
-
-bool MutableAttrRelation::Insert(const AttrTuple& tuple, std::string* error) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  if (!InsertLocked(tuple, error)) return false;
-  MutationMetrics::Get().mutations.Increment();
-  return true;
-}
-
-bool MutableAttrRelation::Delete(int id, std::string* error) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  if (!DeleteLocked(id, error)) return false;
-  MutationMetrics::Get().mutations.Increment();
-  return true;
-}
-
-bool MutableAttrRelation::Update(const AttrTuple& tuple, std::string* error) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  const auto it = live_by_id_.find(tuple.id);
-  if (it == live_by_id_.end()) {
-    SetError(error, "no live tuple with id " + std::to_string(tuple.id));
-    return false;
-  }
-  const std::size_t old_idx = it->second;
-  entries_[old_idx].alive = false;
-  live_by_id_.erase(it);
-  --live_count_;
-  if (!InsertLocked(tuple, error)) {
-    entries_[old_idx].alive = true;
-    live_by_id_[tuple.id] = old_idx;
-    ++live_count_;
-    return false;
-  }
-  MutationMetrics::Get().mutations.Increment();
-  return true;
-}
-
-bool MutableAttrRelation::Apply(const std::vector<AttrMutation>& ops,
-                                std::string* error) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  const std::size_t old_size = entries_.size();
-  const std::size_t old_live = live_count_;
-  const bool old_dirty = dirty_;
-  std::vector<std::size_t> killed;
-
-  auto kill_tracked = [&](int id, std::string* err) {
-    const auto it = live_by_id_.find(id);
-    if (it == live_by_id_.end()) {
-      SetError(err, "no live tuple with id " + std::to_string(id));
-      return false;
-    }
-    if (it->second < old_size) killed.push_back(it->second);
-    entries_[it->second].alive = false;
-    live_by_id_.erase(it);
-    --live_count_;
-    return true;
-  };
-
-  std::string op_error;
-  bool ok = true;
-  std::size_t failed_at = 0;
-  for (std::size_t i = 0; i < ops.size() && ok; ++i) {
-    const AttrMutation& op = ops[i];
-    failed_at = i;
-    switch (op.op) {
-      case AttrMutation::Op::kInsert:
-        ok = InsertLocked(op.tuple, &op_error);
-        break;
-      case AttrMutation::Op::kDelete:
-        ok = kill_tracked(op.id, &op_error);
-        break;
-      case AttrMutation::Op::kUpdate:
-        ok = kill_tracked(op.tuple.id, &op_error) &&
-             InsertLocked(op.tuple, &op_error);
-        break;
-    }
-  }
-  if (ok) {
-    if (!ops.empty()) dirty_ = true;
-    MutationMetrics::Get().mutations.Increment(
-        static_cast<long long>(ops.size()));
-    return true;
-  }
-
-  for (std::size_t idx = old_size; idx < entries_.size(); ++idx) {
-    live_by_id_.erase(entries_[idx].tuple.id);
-  }
-  entries_.resize(old_size);
-  for (std::size_t idx : killed) {
-    entries_[idx].alive = true;
-    live_by_id_[entries_[idx].tuple.id] = idx;
-  }
-  live_count_ = old_live;
-  dirty_ = old_dirty;
-  SetError(error, "op " + std::to_string(failed_at) + ": " + op_error);
-  return false;
-}
-
-void MutableAttrRelation::CompactLocked() {
-  std::vector<std::size_t> remap(entries_.size(),
-                                 static_cast<std::size_t>(-1));
-  std::vector<Entry> live;
+  // Canonical logical contents: live entries in arrival order, and the
+  // merged run relabeled to their positions.
+  std::vector<std::size_t> pos_of_entry(entries_.size(), kNpos);
+  std::vector<std::size_t> live;
   live.reserve(live_count_);
   for (std::size_t idx = 0; idx < entries_.size(); ++idx) {
     if (!entries_[idx].alive) continue;
-    remap[idx] = live.size();
-    live.push_back(std::move(entries_[idx]));
+    pos_of_entry[idx] = live.size();
+    live.push_back(idx);
   }
-  entries_ = std::move(live);
-  for (std::size_t& idx : base_escore_run_) idx = remap[idx];
-  for (ValueItem& item : base_value_run_) item.owner = remap[item.owner];
-  for (auto& [id, idx] : live_by_id_) idx = remap[idx];
-  delta_start_ = entries_.size();
-  ++compactions_;
-  MutationMetrics::Get().compactions.Increment();
-}
-
-void MutableAttrRelation::PublishLocked() {
-  auto better = [this](std::size_t a, std::size_t b) {
-    const double ea = entries_[a].expected_score;
-    const double eb = entries_[b].expected_score;
-    if (ea != eb) return ea > eb;
-    return a < b;
-  };
-
-  std::vector<std::size_t> delta_run;
-  std::vector<ValueItem> delta_values;
-  for (std::size_t idx = delta_start_; idx < entries_.size(); ++idx) {
-    if (!entries_[idx].alive) continue;
-    delta_run.push_back(idx);
-    for (const ScoreValue& sv : entries_[idx].tuple.pdf) {
-      delta_values.push_back(ValueItem{sv.value, sv.prob, idx});
-    }
+  std::vector<int> order;
+  order.reserve(order_run.size());
+  for (std::size_t idx : order_run) {
+    order.push_back(static_cast<int>(pos_of_entry[idx]));
   }
-  std::sort(delta_run.begin(), delta_run.end(), better);
-  std::sort(delta_values.begin(), delta_values.end());
-
-  std::vector<std::size_t> merged;
-  merged.reserve(live_count_);
-  {
-    std::size_t bi = 0;
-    std::size_t di = 0;
-    while (bi < base_escore_run_.size() &&
-           !entries_[base_escore_run_[bi]].alive) {
-      ++bi;
-    }
-    while (bi < base_escore_run_.size() || di < delta_run.size()) {
-      if (di == delta_run.size() ||
-          (bi < base_escore_run_.size() &&
-           better(base_escore_run_[bi], delta_run[di]))) {
-        merged.push_back(base_escore_run_[bi]);
-        ++bi;
-        while (bi < base_escore_run_.size() &&
-               !entries_[base_escore_run_[bi]].alive) {
-          ++bi;
-        }
-      } else {
-        merged.push_back(delta_run[di]);
-        ++di;
-      }
-    }
-  }
-
-  // Merge the sorted (value, mass, owner) runs, filtering tombstoned
-  // owners. The projected (value, mass) sequence is exactly the
-  // BuildValueUniverse std::sort output over the live entries' pairs:
-  // equal-value masses appear ascending, and equal (value, mass) items
-  // contribute identical additions in any order.
-  std::vector<ValueItem> merged_values;
-  merged_values.reserve(base_value_run_.size() + delta_values.size());
-  {
-    std::size_t bi = 0;
-    std::size_t di = 0;
-    while (bi < base_value_run_.size() &&
-           !entries_[base_value_run_[bi].owner].alive) {
-      ++bi;
-    }
-    while (bi < base_value_run_.size() || di < delta_values.size()) {
-      if (di == delta_values.size() ||
-          (bi < base_value_run_.size() &&
-           base_value_run_[bi] < delta_values[di])) {
-        merged_values.push_back(base_value_run_[bi]);
-        ++bi;
-        while (bi < base_value_run_.size() &&
-               !entries_[base_value_run_[bi].owner].alive) {
-          ++bi;
-        }
-      } else {
-        merged_values.push_back(delta_values[di]);
-        ++di;
-      }
-    }
-  }
-
-  const bool consolidate =
-      delta_run.size() >= options_.delta_merge_threshold;
-  if (consolidate) {
-    base_escore_run_ = merged;
-    base_value_run_ = merged_values;
-    delta_start_ = entries_.size();
-    ++delta_merges_;
-    MutationMetrics::Get().delta_merges.Increment();
-    const std::size_t dead = entries_.size() - live_count_;
-    if (dead > live_count_ && dead >= options_.compact_min_dead) {
-      CompactLocked();
-      merged.assign(base_escore_run_.begin(), base_escore_run_.end());
-      merged_values.assign(base_value_run_.begin(), base_value_run_.end());
-    }
-  }
-
-  std::vector<std::size_t> pos_of_entry(entries_.size(),
-                                        static_cast<std::size_t>(-1));
-  std::vector<AttrTuple> tuples;
-  AttrPreparedSeed seed;
-  tuples.reserve(live_count_);
-  seed.expected_scores.reserve(live_count_);
-  seed.sorted_pdfs.reserve(live_count_);
-  for (std::size_t idx = 0; idx < entries_.size(); ++idx) {
-    const Entry& e = entries_[idx];
-    if (!e.alive) continue;
-    pos_of_entry[idx] = tuples.size();
-    tuples.push_back(e.tuple);
-    seed.expected_scores.push_back(e.expected_score);
-    seed.sorted_pdfs.push_back(e.sorted_pdf);
-  }
-  seed.escore_order.reserve(merged.size());
-  for (std::size_t idx : merged) {
-    seed.escore_order.push_back(static_cast<int>(pos_of_entry[idx]));
-  }
-  // Collapse the merged ascending (value, mass) sequence — the exact
-  // accumulation BuildValueUniverse performs on its sorted array.
-  internal::ValueUniverse& u = seed.universe;
-  for (const ValueItem& item : merged_values) {
-    if (!u.values.empty() && u.values.back() == item.value) {
-      u.mass.back() += item.prob;
-    } else {
-      u.values.push_back(item.value);
-      u.mass.push_back(item.prob);
-    }
-  }
-  u.suffix.resize(u.values.size() + 1);
-  vk::Active().suffix_sum(u.mass.data(), u.suffix.data(), u.values.size());
-
-  AttrRelation rel(std::move(tuples));
-  auto prepared = std::make_shared<const PreparedAttrRelation>(
-      std::move(rel), std::move(seed));
+  std::shared_ptr<const Prepared> prepared =
+      model_.Assemble(entries_, live, std::move(order), std::move(values));
 
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
@@ -744,23 +469,28 @@ void MutableAttrRelation::PublishLocked() {
   MutationMetrics::Get().publishes.Increment();
 }
 
-AttrEpochSnapshot MutableAttrRelation::Publish() {
+template <typename Traits>
+EpochSnapshot<typename Traits::Prepared> MutableRelation<Traits>::Publish() {
   std::lock_guard<std::mutex> lock(writer_mu_);
   if (dirty_) PublishLocked();
   return Snapshot();
 }
 
-AttrEpochSnapshot MutableAttrRelation::Snapshot() const {
+template <typename Traits>
+EpochSnapshot<typename Traits::Prepared> MutableRelation<Traits>::Snapshot()
+    const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   return {epoch_, snapshot_};
 }
 
-std::uint64_t MutableAttrRelation::epoch() const {
+template <typename Traits>
+std::uint64_t MutableRelation<Traits>::epoch() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   return epoch_;
 }
 
-void MutableAttrRelation::EnsureEpochAtLeast(std::uint64_t epoch) {
+template <typename Traits>
+void MutableRelation<Traits>::EnsureEpochAtLeast(std::uint64_t epoch) {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   if (epoch_ < epoch) {
     epoch_ = epoch;
@@ -768,24 +498,31 @@ void MutableAttrRelation::EnsureEpochAtLeast(std::uint64_t epoch) {
   }
 }
 
-long long MutableAttrRelation::live_size() const {
+template <typename Traits>
+long long MutableRelation<Traits>::live_size() const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   return static_cast<long long>(live_count_);
 }
 
-bool MutableAttrRelation::dirty() const {
+template <typename Traits>
+bool MutableRelation<Traits>::dirty() const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   return dirty_;
 }
 
-std::uint64_t MutableAttrRelation::delta_merges() const {
+template <typename Traits>
+std::uint64_t MutableRelation<Traits>::delta_merges() const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   return delta_merges_;
 }
 
-std::uint64_t MutableAttrRelation::compactions() const {
+template <typename Traits>
+std::uint64_t MutableRelation<Traits>::compactions() const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   return compactions_;
 }
+
+template class MutableRelation<engine_internal::TupleStoreModel>;
+template class MutableRelation<engine_internal::AttrStoreModel>;
 
 }  // namespace urank

@@ -1,29 +1,39 @@
 // Mutable relations: incremental ingestion over the prepared-state query
 // surface, with copy-on-write epoch snapshots.
 //
-// A Mutable*Relation owns the *logical contents* of one uncertain relation
-// — tuples in arrival order, each tagged alive/dead, tuple-level entries
-// additionally tagged with the caller-chosen exclusion-rule key — plus the
-// incremental preparation state needed to publish a PreparedRelation
-// without re-running the O(N log N) from-scratch prepare:
+// MutableRelation<Traits> is one store written once for both models and
+// instantiated as MutableTupleRelation and MutableAttrRelation. It owns
+// the *logical contents* of one uncertain relation — tuples in arrival
+// order, each tagged alive/dead (tuple-level entries also carry the
+// caller-chosen exclusion-rule key) — plus the incremental preparation
+// state needed to publish a PreparedRelation without re-running the
+// O(N log N) from-scratch prepare:
 //
 //   * a *base* sorted run over the already-consolidated prefix of the
-//     entry log (rank order for tuple-level; expected-score order and the
-//     sorted (value, mass) slice of the q(v) universe for attribute-level),
+//     entry log (rank order for tuple-level, expected-score order for
+//     attribute-level; the attribute model also keeps the sorted
+//     (value, mass) slice of the q(v) universe),
 //   * a *delta* of entries appended since the last consolidation, sorted
-//     at publish time (reusing the same run/merge discipline as
-//     core/engine/prepared_builder.h), and
+//     at publish time, and
 //   * tombstones: Delete marks an entry dead; dead entries are filtered
 //     out of the merged order at publish time and physically compacted
 //     once they outnumber the live ones.
 //
-// Publish() merges base + delta (a 2-way merge of sorted runs), rebuilds
-// the derived vectors with one sequential pass, hands them to the
-// Prepared*Relation seed constructors, and atomically swaps the new
-// snapshot in under a fresh epoch number. Readers call Snapshot() and keep
-// a shared_ptr<const Prepared*Relation>: in-flight queries keep reading
-// the epoch they resolved, unaffected by concurrent writers (copy-on-
-// write — published prepared state is never modified).
+// Publish() merges base + delta and derives the seed through the one seed
+// finish every producer of prepared state shares
+// (core/engine/prepared_builder.h), hands it to the Prepared*Relation seed
+// constructor, and atomically swaps the new snapshot in under a fresh
+// epoch number. Readers call Snapshot() and keep a
+// shared_ptr<const Prepared*Relation>: in-flight queries keep reading the
+// epoch they resolved, unaffected by concurrent writers (copy-on-write —
+// published prepared state is never modified).
+//
+// What differs per model lives in two small traits
+// (engine_internal::TupleStoreModel / AttrStoreModel): the entry payload
+// and its insert-time contract, the order key, the attribute-level value
+// run, and the seed assembly. Everything else — the entry log, the id
+// index, Insert/Delete/Update, the Apply undo journal, consolidation and
+// compaction, the merge, the snapshot swap and the counters — is shared.
 //
 // Bit-identity contract (the property tests/core/epoch_identity_test.cc
 // enforces): every published epoch is bit-identical — EXPECT_EQ on every
@@ -33,20 +43,13 @@
 //   * live entries in arrival order (an Update re-inserts at the tail:
 //     it is a Delete plus an Insert, and its tie-break index moves);
 //   * exclusion rules grouped by key, numbered by first live appearance
-//     in arrival order, members in arrival order — exactly the
-//     PreparedTupleRelationBuilder convention, and exactly what an eager
-//     caller building a rules vector in one pass over the live entries
-//     would construct. Negative keys mean independent (singleton rules
-//     supplied by the TupleRelation constructor).
+//     in arrival order, members in arrival order. Negative keys mean
+//     independent (singleton rules supplied by the TupleRelation
+//     constructor).
 //
-// The mechanics are the prepared_builder ones: the merge of sorted runs
-// under a (key desc, index asc) total order equals the eager std::sort
-// output because indices are unique; prefix probability sums are one
-// plain left-to-right pass over the merged order (never stitched partial
-// sums); the value universe collapses the merged ascending (value, mass)
-// sequence with the exact accumulation BuildValueUniverse performs.
-// Tombstone filtering and arrival-order compaction are both monotone in
-// the entry index, so they preserve those orders.
+// The argument is the seed finish's (prepared_builder.h); tombstone
+// filtering and arrival-order compaction are both monotone in the entry
+// index, so they preserve the merged orders.
 //
 // x-relations: rule keys are first-class and fully general — a rule may
 // gain and lose members across any number of epochs, and an Update may
@@ -107,9 +110,12 @@ struct EpochSnapshot {
 using TupleEpochSnapshot = EpochSnapshot<PreparedTupleRelation>;
 using AttrEpochSnapshot = EpochSnapshot<PreparedAttrRelation>;
 
+// The kind of one mutation, shared by both stores and the wire protocol.
+enum class MutationOp { kInsert, kDelete, kUpdate };
+
 // One mutation against a tuple-level store, for batch Apply.
 struct TupleMutation {
-  enum class Op { kInsert, kDelete, kUpdate };
+  using Op = MutationOp;
   Op op = Op::kInsert;
   // kInsert/kUpdate payload (tuple.id names the target for kUpdate).
   TLTuple tuple;
@@ -120,51 +126,213 @@ struct TupleMutation {
 
 // One mutation against an attribute-level store.
 struct AttrMutation {
-  enum class Op { kInsert, kDelete, kUpdate };
+  using Op = MutationOp;
   Op op = Op::kInsert;
   AttrTuple tuple;  // kInsert/kUpdate payload
   int id = 0;       // kDelete target
 };
 
-// Tuple-level mutable store (x-relation model).
-class MutableTupleRelation {
+namespace engine_internal {
+
+// One slot of a store's entry log.
+template <typename Entry>
+struct LogSlot {
+  Entry entry;
+  bool alive = true;
+};
+
+// The model traits of MutableRelation: everything a store does per model.
+// Each provides the entry payload and its insert-time contract (Admit),
+// the order key, the attribute-level value run (MergeValueRun) and the
+// seed assembly (Assemble), plus the hooks that keep model-side indexes in
+// step with the log (Appended / Truncated / Compacted).
+
+// Tuple level (x-relation model).
+class TupleStoreModel {
  public:
+  using Tuple = TLTuple;
+  using Relation = TupleRelation;
+  using Prepared = PreparedTupleRelation;
+  using Mutation = TupleMutation;
+  struct Entry {
+    TLTuple tuple;
+    long long rule_key = -1;
+  };
+  using Log = std::vector<LogSlot<Entry>>;
+  // The tuple level has no value run.
+  struct ValueRun {};
+  static constexpr bool kRuleKeyed = true;
+
+  static Entry MakeEntry(const TLTuple& tuple, long long rule_key) {
+    return {tuple, rule_key};
+  }
+  static Entry FromMutation(const TupleMutation& m) {
+    return MakeEntry(m.tuple, m.rule_key);
+  }
+  // Keys each tuple by its rule index: preserves the relation's rules
+  // (implicit singletons included), members canonicalized into index order.
+  static Entry FromRelation(const TupleRelation& rel, int i) {
+    return {rel.tuple(i), rel.rule_of(i)};
+  }
+  static double Key(const Entry& e) { return e.tuple.score; }
+
+  // Probability in (0,1], finite score, and the rule's live mass (summed
+  // in arrival order, bit for bit TupleRelation::Validate's sum) staying
+  // <= 1 + tolerance.
+  bool Admit(const Log& log, Entry* e, std::string* error) const;
+  void Appended(const Entry& e, std::size_t idx);
+  void Truncated(const Log& log, std::size_t old_size);
+  void Compacted(const std::vector<std::size_t>& remap);
+  ValueRun MergeValueRun(const Log&, std::size_t, bool) { return {}; }
+  std::shared_ptr<const PreparedTupleRelation> Assemble(
+      const Log& log, const std::vector<std::size_t>& live,
+      std::vector<int> order, ValueRun values) const;
+
+ private:
+  double LiveRuleMass(const Log& log, long long rule_key) const;
+
+  // rule key (>= 0) -> entry indices in arrival order (dead ones retained
+  // until compaction; LiveRuleMass skips them).
+  std::unordered_map<long long, std::vector<std::size_t>> rule_members_;
+};
+
+// Attribute level.
+class AttrStoreModel {
+ public:
+  using Tuple = AttrTuple;
+  using Relation = AttrRelation;
+  using Prepared = PreparedAttrRelation;
+  using Mutation = AttrMutation;
+  struct Entry {
+    AttrTuple tuple;
+    double expected_score = 0.0;
+    internal::SortedPdf sorted_pdf;  // deterministic function of the pdf
+  };
+  using Log = std::vector<LogSlot<Entry>>;
+  // The merged run's q(v) universe.
+  using ValueRun = internal::ValueUniverse;
+  static constexpr bool kRuleKeyed = false;
+
+  // The derived fields are filled in by Admit, once the pdf is known to
+  // be valid.
+  static Entry MakeEntry(const AttrTuple& tuple) {
+    Entry e;
+    e.tuple = tuple;
+    return e;
+  }
+  static Entry FromMutation(const AttrMutation& m) {
+    return MakeEntry(m.tuple);
+  }
+  // The relation's constructor already validated every tuple.
+  static Entry FromRelation(const AttrRelation& rel, int i);
+  static double Key(const Entry& e) { return e.expected_score; }
+
+  // AttrRelation::Validate's per-tuple rules (non-empty pdf, probabilities
+  // in (0,1] summing to 1, finite distinct values).
+  bool Admit(const Log& log, Entry* e, std::string* error) const;
+  void Appended(const Entry&, std::size_t) {}
+  void Truncated(const Log&, std::size_t) {}
+  void Compacted(const std::vector<std::size_t>& remap);
+  // Merges the consolidated value run with the delta's pairs, filtering
+  // tombstoned owners, into the universe; keeps the merged run as the new
+  // base when consolidating.
+  ValueRun MergeValueRun(const Log& log, std::size_t delta_start,
+                         bool consolidate);
+  std::shared_ptr<const PreparedAttrRelation> Assemble(
+      const Log& log, const std::vector<std::size_t>& live,
+      std::vector<int> order, ValueRun values) const;
+
+ private:
+  // One support point of the q(v) universe with its owning entry, so
+  // tombstoned mass can be filtered out of the base value run.
+  struct ValueItem {
+    double value = 0.0;
+    double prob = 0.0;
+    std::size_t owner = 0;
+
+    friend bool operator<(const ValueItem& a, const ValueItem& b) {
+      if (a.value != b.value) return a.value < b.value;
+      if (a.prob != b.prob) return a.prob < b.prob;
+      return a.owner < b.owner;
+    }
+  };
+
+  // Fills the derived fields (expected score, sorted pdf).
+  static void Derive(Entry* e);
+
+  // (value, mass, owner) ascending — the consolidated prefix's slice of
+  // the q(v) universe before collapsing.
+  std::vector<ValueItem> base_value_run_;
+};
+
+}  // namespace engine_internal
+
+// A mutable store over one model (see the file comment). Instantiated for
+// the two models as MutableTupleRelation and MutableAttrRelation.
+template <typename Traits>
+class MutableRelation {
+ public:
+  using Tuple = typename Traits::Tuple;
+  using Relation = typename Traits::Relation;
+  using Prepared = typename Traits::Prepared;
+  using Mutation = typename Traits::Mutation;
+
   // Starts empty; publishes epoch 1 (an empty relation) immediately, so
   // Snapshot() never returns a null prepared pointer.
-  explicit MutableTupleRelation(MutableRelationOptions options = {});
+  explicit MutableRelation(MutableRelationOptions options = {});
 
-  // Seeds the logical contents from an existing relation: tuples in index
-  // order, each keyed by its rule index (so rules are preserved, with
-  // members canonicalized into arrival order), then publishes epoch 1.
-  explicit MutableTupleRelation(const TupleRelation& rel,
-                                MutableRelationOptions options = {});
+  // Seeds the logical contents from an existing (already validated)
+  // relation — tuples in index order, tuple-level ones keyed by their rule
+  // index — then publishes epoch 1.
+  explicit MutableRelation(const Relation& rel,
+                           MutableRelationOptions options = {});
 
-  MutableTupleRelation(const MutableTupleRelation&) = delete;
-  MutableTupleRelation& operator=(const MutableTupleRelation&) = delete;
+  MutableRelation(const MutableRelation&) = delete;
+  MutableRelation& operator=(const MutableRelation&) = delete;
 
   // Mutators. Return false (logical contents untouched) with a
   // description in *error (when non-null) on a contract violation:
-  // duplicate live id, probability outside (0,1], non-finite score,
-  // unknown delete/update target, or a rule whose live mass would exceed
-  // 1 + tolerance. Mutations become visible to readers only at Publish.
-  bool Insert(const TLTuple& tuple, long long rule_key, std::string* error);
+  // duplicate live id, unknown delete/update target, or a payload the
+  // model rejects (tuple level: probability outside (0,1], non-finite
+  // score, a rule whose live mass would exceed 1 + tolerance; attribute
+  // level: AttrRelation::Validate's per-tuple rules). Mutations become
+  // visible to readers only at Publish. Update is Delete + re-insert at
+  // the tail (the tuple's tie-break index moves to the end of the arrival
+  // order); at tuple level it may change the rule key.
+  bool Insert(const Tuple& tuple, long long rule_key, std::string* error)
+    requires Traits::kRuleKeyed
+  {
+    return InsertEntry(Traits::MakeEntry(tuple, rule_key), error);
+  }
+  bool Update(const Tuple& tuple, long long rule_key, std::string* error)
+    requires Traits::kRuleKeyed
+  {
+    return UpdateEntry(Traits::MakeEntry(tuple, rule_key), error);
+  }
+  bool Insert(const Tuple& tuple, std::string* error)
+    requires(!Traits::kRuleKeyed)
+  {
+    return InsertEntry(Traits::MakeEntry(tuple), error);
+  }
+  bool Update(const Tuple& tuple, std::string* error)
+    requires(!Traits::kRuleKeyed)
+  {
+    return UpdateEntry(Traits::MakeEntry(tuple), error);
+  }
   bool Delete(int id, std::string* error);
-  // Delete + re-insert at the tail (the tuple's tie-break index moves to
-  // the end of the arrival order); may change the rule key.
-  bool Update(const TLTuple& tuple, long long rule_key, std::string* error);
 
   // All-or-nothing batch: applies ops in order; on the first failure the
   // whole batch is rolled back and false is returned with the failing
   // op's index and reason in *error.
-  bool Apply(const std::vector<TupleMutation>& ops, std::string* error);
+  bool Apply(const std::vector<Mutation>& ops, std::string* error);
 
   // Builds and atomically publishes a new epoch reflecting every mutation
   // so far. Idempotent: with no pending mutations the current snapshot is
   // returned unchanged (no epoch bump).
-  TupleEpochSnapshot Publish();
+  EpochSnapshot<Prepared> Publish();
 
   // The latest published snapshot. Never null.
-  TupleEpochSnapshot Snapshot() const;
+  EpochSnapshot<Prepared> Snapshot() const;
 
   std::uint64_t epoch() const;
 
@@ -183,32 +351,30 @@ class MutableTupleRelation {
   std::uint64_t compactions() const;
 
  private:
-  struct Entry {
-    TLTuple tuple;
-    long long rule_key = -1;
-    bool alive = true;
-  };
+  using Entry = typename Traits::Entry;
 
-  bool InsertLocked(const TLTuple& tuple, long long rule_key,
-                    std::string* error);
-  bool DeleteLocked(int id, std::string* error);
-  double LiveRuleMass(long long rule_key) const;
+  bool InsertEntry(Entry entry, std::string* error);
+  bool UpdateEntry(Entry entry, std::string* error);
+  bool InsertLocked(Entry entry, std::string* error);
+  void AppendLocked(Entry entry);
+  // Tombstones the live entry `id`; returns its index, or npos (with
+  // *error set) when no live entry has that id.
+  std::size_t KillLocked(int id, std::string* error);
   void CompactLocked();
   void PublishLocked();
 
   const MutableRelationOptions options_;
 
   mutable std::mutex writer_mu_;
-  std::vector<Entry> entries_;  // arrival order; tombstoned, never reordered
+  Traits model_;
+  typename Traits::Log entries_;  // arrival order; tombstoned, not reordered
   std::unordered_map<int, std::size_t> live_by_id_;
-  // rule key (>= 0) -> entry indices in arrival order (dead ones retained
-  // until compaction; LiveRuleMass skips them).
-  std::unordered_map<long long, std::vector<std::size_t>> rule_members_;
   std::size_t live_count_ = 0;
   // entries_[0, delta_start_) are covered by base_run_.
   std::size_t delta_start_ = 0;
-  // Entry indices sorted (score desc, index asc); only entries alive at
-  // consolidation time — later tombstones are filtered at publish.
+  // Entry indices sorted KeyDescIndexAsc (score or expected score); only
+  // entries alive at consolidation time — later tombstones are filtered
+  // at publish.
   std::vector<std::size_t> base_run_;
   bool dirty_ = true;
   std::uint64_t delta_merges_ = 0;
@@ -216,83 +382,16 @@ class MutableTupleRelation {
 
   mutable std::mutex snapshot_mu_;
   std::uint64_t epoch_ = 0;
-  std::shared_ptr<const PreparedTupleRelation> snapshot_;
+  std::shared_ptr<const Prepared> snapshot_;
 };
 
+extern template class MutableRelation<engine_internal::TupleStoreModel>;
+extern template class MutableRelation<engine_internal::AttrStoreModel>;
+
+// Tuple-level mutable store (x-relation model).
+using MutableTupleRelation = MutableRelation<engine_internal::TupleStoreModel>;
 // Attribute-level mutable store.
-class MutableAttrRelation {
- public:
-  explicit MutableAttrRelation(MutableRelationOptions options = {});
-  explicit MutableAttrRelation(const AttrRelation& rel,
-                               MutableRelationOptions options = {});
-
-  MutableAttrRelation(const MutableAttrRelation&) = delete;
-  MutableAttrRelation& operator=(const MutableAttrRelation&) = delete;
-
-  // Mutators; same visibility and failure contract as the tuple-level
-  // store, gated by AttrRelation::Validate's per-tuple rules (non-empty
-  // pdf, probabilities in (0,1] summing to 1, finite distinct values).
-  bool Insert(const AttrTuple& tuple, std::string* error);
-  bool Delete(int id, std::string* error);
-  bool Update(const AttrTuple& tuple, std::string* error);
-  bool Apply(const std::vector<AttrMutation>& ops, std::string* error);
-
-  AttrEpochSnapshot Publish();
-  AttrEpochSnapshot Snapshot() const;
-  std::uint64_t epoch() const;
-  void EnsureEpochAtLeast(std::uint64_t epoch);
-
-  long long live_size() const;
-  bool dirty() const;
-  std::uint64_t delta_merges() const;
-  std::uint64_t compactions() const;
-
- private:
-  struct Entry {
-    AttrTuple tuple;
-    double expected_score = 0.0;
-    internal::SortedPdf sorted_pdf;  // deterministic function of the pdf
-    bool alive = true;
-  };
-  // One support point of the q(v) universe with its owning entry, so
-  // tombstoned mass can be filtered out of the base value run.
-  struct ValueItem {
-    double value = 0.0;
-    double prob = 0.0;
-    std::size_t owner = 0;
-
-    friend bool operator<(const ValueItem& a, const ValueItem& b) {
-      if (a.value != b.value) return a.value < b.value;
-      if (a.prob != b.prob) return a.prob < b.prob;
-      return a.owner < b.owner;
-    }
-  };
-
-  bool InsertLocked(const AttrTuple& tuple, std::string* error);
-  bool DeleteLocked(int id, std::string* error);
-  void CompactLocked();
-  void PublishLocked();
-
-  const MutableRelationOptions options_;
-
-  mutable std::mutex writer_mu_;
-  std::vector<Entry> entries_;
-  std::unordered_map<int, std::size_t> live_by_id_;
-  std::size_t live_count_ = 0;
-  std::size_t delta_start_ = 0;
-  // Entry indices sorted (expected score desc, index asc).
-  std::vector<std::size_t> base_escore_run_;
-  // (value, mass, owner) ascending — the consolidated prefix's slice of
-  // the q(v) universe before collapsing.
-  std::vector<ValueItem> base_value_run_;
-  bool dirty_ = true;
-  std::uint64_t delta_merges_ = 0;
-  std::uint64_t compactions_ = 0;
-
-  mutable std::mutex snapshot_mu_;
-  std::uint64_t epoch_ = 0;
-  std::shared_ptr<const PreparedAttrRelation> snapshot_;
-};
+using MutableAttrRelation = MutableRelation<engine_internal::AttrStoreModel>;
 
 }  // namespace urank
 

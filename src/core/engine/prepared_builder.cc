@@ -1,45 +1,80 @@
 #include "core/engine/prepared_builder.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
-#include <queue>
-#include <unordered_map>
 
 #include "core/internal/value_universe.h"
-#include "core/internal/vector_kernels.h"
+#include "core/rank_distribution_attr.h"
 #include "util/check.h"
 
 namespace urank {
+namespace engine_internal {
+
+TuplePreparedSeed FinishTupleSeed(const std::vector<TLTuple>& tuples,
+                                  std::vector<int> rank_order) {
+  const size_t n = tuples.size();
+  URANK_CHECK_MSG(rank_order.size() == n,
+                  "rank order does not cover the relation");
+  TuplePreparedSeed seed;
+  seed.rank_order = std::move(rank_order);
+  seed.rank_probs.resize(n);
+  seed.prefix_prob.assign(n + 1, 0.0);
+  for (size_t j = 0; j < n; ++j) {
+    const double p = tuples[static_cast<size_t>(seed.rank_order[j])].prob;
+    seed.rank_probs[j] = p;
+    seed.prefix_prob[j + 1] = seed.prefix_prob[j] + p;
+  }
+  return seed;
+}
+
+TuplePreparedSeed EagerTupleSeed(const TupleRelation& rel) {
+  const std::vector<TLTuple>& tuples = rel.tuples();
+  std::vector<int> order(tuples.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), KeyDescIndexAsc([&](int i) {
+              return tuples[static_cast<size_t>(i)].score;
+            }));
+  return FinishTupleSeed(tuples, std::move(order));
+}
+
+AttrPreparedSeed EagerAttrSeed(const AttrRelation& rel) {
+  const size_t n = static_cast<size_t>(rel.size());
+  AttrPreparedSeed seed;
+  seed.expected_scores.reserve(n);
+  for (const AttrTuple& t : rel.tuples()) {
+    seed.expected_scores.push_back(t.ExpectedScore());
+  }
+  seed.escore_order.resize(n);
+  std::iota(seed.escore_order.begin(), seed.escore_order.end(), 0);
+  std::sort(seed.escore_order.begin(), seed.escore_order.end(),
+            KeyDescIndexAsc([&](int i) {
+              return seed.expected_scores[static_cast<size_t>(i)];
+            }));
+  seed.universe = internal::BuildValueUniverse(rel);
+  seed.sorted_pdfs = BuildSortedPdfs(rel);
+  return seed;
+}
+
+}  // namespace engine_internal
+
 namespace {
 
-// K-way merge of per-block runs under `better` — a strict total order over
-// global indices (both orders below tie-break on the unique index, so no
-// two elements compare equal). The merged sequence is therefore the unique
-// sorted sequence: identical to std::sort over the concatenation, which is
-// what makes blocked preparation bit-identical to the eager path.
-template <typename Better>
-std::vector<int> MergeRuns(const std::vector<std::vector<int>>& runs,
-                           size_t total, const Better& better) {
-  struct Cursor {
-    size_t run = 0;
-    size_t pos = 0;
-  };
-  auto worse = [&](const Cursor& a, const Cursor& b) {
-    return better(runs[b.run][b.pos], runs[a.run][a.pos]);
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(worse)> heads(
-      worse);
-  for (size_t r = 0; r < runs.size(); ++r) {
-    if (!runs[r].empty()) heads.push(Cursor{r, 0});
-  }
+using engine_internal::KeepAll;
+using engine_internal::KeyDescIndexAsc;
+using engine_internal::MergeSortedRuns;
+
+// K-way merge of per-block index runs into one order (see the header for
+// why the result equals std::sort over the concatenation).
+template <typename Before>
+std::vector<int> MergeBlockRuns(const std::vector<std::vector<int>>& runs,
+                                size_t total, const Before& before) {
+  std::vector<const std::vector<int>*> run_ptrs;
+  for (const std::vector<int>& run : runs) run_ptrs.push_back(&run);
   std::vector<int> merged;
   merged.reserve(total);
-  while (!heads.empty()) {
-    Cursor c = heads.top();
-    heads.pop();
-    merged.push_back(runs[c.run][c.pos]);
-    if (++c.pos < runs[c.run].size()) heads.push(c);
-  }
+  MergeSortedRuns(run_ptrs, before, KeepAll{},
+                  [&merged](int i) { merged.push_back(i); });
   return merged;
 }
 
@@ -53,12 +88,9 @@ void PreparedTupleRelationBuilder::AddBlock(
   const int base = static_cast<int>(count_);
   std::vector<int> run(tuples.size());
   std::iota(run.begin(), run.end(), base);
-  std::sort(run.begin(), run.end(), [&](int a, int b) {
-    const double sa = tuples[static_cast<size_t>(a - base)].score;
-    const double sb = tuples[static_cast<size_t>(b - base)].score;
-    if (sa != sb) return sa > sb;
-    return a < b;
-  });
+  std::sort(run.begin(), run.end(), KeyDescIndexAsc([&](int i) {
+              return tuples[static_cast<size_t>(i - base)].score;
+            }));
   count_ += static_cast<long long>(tuples.size());
   blocks_.push_back(std::move(tuples));
   block_rule_keys_.push_back(rule_keys);
@@ -71,26 +103,17 @@ PreparedTupleRelationBuilder::Seal() {
   sealed_ = true;
   const size_t n = static_cast<size_t>(count_);
 
-  // Explicit rules, numbered by first appearance of their key in input
-  // order with members in input order — the convention an eager caller
-  // building a rules vector in one pass uses. Singletons (negative keys)
-  // are supplied by the TupleRelation constructor, exactly as for an
-  // eager caller who omits them.
   std::vector<std::vector<int>> rules;
   {
-    std::unordered_map<int, size_t> rule_of_key;
-    size_t i = 0;
+    engine_internal::RuleNumbering numbering;
+    int i = 0;
     for (size_t b = 0; b < blocks_.size(); ++b) {
       const std::vector<int>& keys = block_rule_keys_[b];
       for (size_t j = 0; j < blocks_[b].size(); ++j, ++i) {
-        if (keys.empty()) continue;
-        const int key = keys[j];
-        if (key < 0) continue;
-        const auto [it, inserted] = rule_of_key.try_emplace(key, rules.size());
-        if (inserted) rules.emplace_back();
-        rules[it->second].push_back(static_cast<int>(i));
+        if (!keys.empty()) numbering.Add(keys[j], i);
       }
     }
+    rules = numbering.Take();
     block_rule_keys_ = {};
   }
 
@@ -106,26 +129,14 @@ PreparedTupleRelationBuilder::Seal() {
   }
   blocks_ = {};
 
-  TuplePreparedSeed seed;
-  seed.rank_order = MergeRuns(runs_, n, [&](int a, int b) {
-    const double sa = tuples[static_cast<size_t>(a)].score;
-    const double sb = tuples[static_cast<size_t>(b)].score;
-    if (sa != sb) return sa > sb;
-    return a < b;
-  });
+  std::vector<int> order =
+      MergeBlockRuns(runs_, n, KeyDescIndexAsc([&](int i) {
+                       return tuples[static_cast<size_t>(i)].score;
+                     }));
   runs_.clear();
   runs_.shrink_to_fit();
-  // One plain sequential pass over the merged order: the exact
-  // left-to-right additions the eager constructor performs. Stitching
-  // per-block partial sums by offset would reassociate these additions
-  // and break bit identity — the merge is the only "external" step.
-  seed.rank_probs.resize(n);
-  seed.prefix_prob.assign(n + 1, 0.0);
-  for (size_t j = 0; j < n; ++j) {
-    const double p = tuples[static_cast<size_t>(seed.rank_order[j])].prob;
-    seed.rank_probs[j] = p;
-    seed.prefix_prob[j + 1] = seed.prefix_prob[j] + p;
-  }
+  TuplePreparedSeed seed =
+      engine_internal::FinishTupleSeed(tuples, std::move(order));
 
   TupleRelation rel(std::move(tuples), std::move(rules));
   return std::make_shared<const PreparedTupleRelation>(std::move(rel),
@@ -155,12 +166,9 @@ void PreparedAttrRelationBuilder::AddBlock(std::vector<AttrTuple> tuples) {
     tuples_.push_back(std::move(t));
   }
 
-  std::sort(run.begin(), run.end(), [&](int a, int b) {
-    const double ea = expected_scores_[static_cast<size_t>(a)];
-    const double eb = expected_scores_[static_cast<size_t>(b)];
-    if (ea != eb) return ea > eb;
-    return a < b;
-  });
+  std::sort(run.begin(), run.end(), KeyDescIndexAsc([&](int i) {
+              return expected_scores_[static_cast<size_t>(i)];
+            }));
   std::sort(pairs.begin(), pairs.end());
   escore_runs_.push_back(std::move(run));
   value_runs_.push_back(std::move(pairs));
@@ -173,49 +181,24 @@ PreparedAttrRelationBuilder::Seal() {
   const size_t n = tuples_.size();
 
   AttrPreparedSeed seed;
-  seed.escore_order = MergeRuns(escore_runs_, n, [&](int a, int b) {
-    const double ea = expected_scores_[static_cast<size_t>(a)];
-    const double eb = expected_scores_[static_cast<size_t>(b)];
-    if (ea != eb) return ea > eb;
-    return a < b;
-  });
+  seed.escore_order =
+      MergeBlockRuns(escore_runs_, n, KeyDescIndexAsc([&](int i) {
+                       return expected_scores_[static_cast<size_t>(i)];
+                     }));
   escore_runs_.clear();
   escore_runs_.shrink_to_fit();
 
-  // Merge the per-block sorted (value, mass) runs and collapse duplicates
-  // on the fly — the same ascending (value, mass) sequence, and therefore
-  // the same accumulation order per distinct value, as BuildValueUniverse
-  // sorting all pairs at once. Pairs with equal value merge smallest mass
-  // first in both paths, so the mass sums are bit-identical.
+  // The per-block sorted (value, mass) runs merge straight into the
+  // collapse — no merged pair array is materialized.
   {
-    internal::ValueUniverse& u = seed.universe;
-    struct Cursor {
-      size_t run = 0;
-      size_t pos = 0;
-    };
-    auto worse = [&](const Cursor& a, const Cursor& b) {
-      return value_runs_[b.run][b.pos] < value_runs_[a.run][a.pos];
-    };
-    std::priority_queue<Cursor, std::vector<Cursor>, decltype(worse)> heads(
-        worse);
-    for (size_t r = 0; r < value_runs_.size(); ++r) {
-      if (!value_runs_[r].empty()) heads.push(Cursor{r, 0});
-    }
-    while (!heads.empty()) {
-      Cursor c = heads.top();
-      heads.pop();
-      const auto& [v, p] = value_runs_[c.run][c.pos];
-      if (!u.values.empty() && u.values.back() == v) {
-        u.mass.back() += p;
-      } else {
-        u.values.push_back(v);
-        u.mass.push_back(p);
-      }
-      if (++c.pos < value_runs_[c.run].size()) heads.push(c);
-    }
-    u.suffix.resize(u.values.size() + 1);
-    vk::Active().suffix_sum(u.mass.data(), u.suffix.data(),
-                            u.values.size());
+    std::vector<const std::vector<std::pair<double, double>>*> run_ptrs;
+    for (const auto& run : value_runs_) run_ptrs.push_back(&run);
+    seed.universe = internal::CollapseSortedValues([&](const auto& add) {
+      MergeSortedRuns(run_ptrs, std::less<>{}, KeepAll{},
+                      [&add](const std::pair<double, double>& vp) {
+                        add(vp.first, vp.second);
+                      });
+    });
   }
   value_runs_.clear();
   value_runs_.shrink_to_fit();

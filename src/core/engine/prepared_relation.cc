@@ -1,8 +1,8 @@
 #include "core/engine/prepared_relation.h"
 
-#include <algorithm>
-#include <numeric>
+#include <utility>
 
+#include "core/engine/prepared_builder.h"
 #include "core/engine/trace.h"
 #include "core/rank_distribution_attr.h"
 #include "util/check.h"
@@ -29,6 +29,16 @@ struct StatCacheMetrics {
   }
 };
 
+// Pairs a relation with the seed `derive` computes from it, so the eager
+// constructors can delegate to the seed constructors: the seed is derived
+// before the relation moves into the pair.
+template <typename Relation, typename Seed>
+std::pair<Relation, Seed> WithSeed(Relation rel,
+                                   Seed (*derive)(const Relation&)) {
+  Seed seed = derive(rel);
+  return {std::move(rel), std::move(seed)};
+}
+
 template <typename T, typename Fn>
 T InstrumentedLookup(const Fn& lookup) {
   bool computed = false;
@@ -41,28 +51,13 @@ T InstrumentedLookup(const Fn& lookup) {
 }  // namespace
 
 PreparedAttrRelation::PreparedAttrRelation(AttrRelation rel)
-    : rel_(std::move(rel)),
-      universe_(internal::BuildValueUniverse(rel_)),
-      sorted_pdfs_(BuildSortedPdfs(rel_)) {
-  const int n = rel_.size();
-  ids_.resize(static_cast<size_t>(n));
-  expected_scores_.resize(static_cast<size_t>(n));
-  position_of_id_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ids_[static_cast<size_t>(i)] = rel_.tuple(i).id;
-    expected_scores_[static_cast<size_t>(i)] = rel_.tuple(i).ExpectedScore();
-    position_of_id_[rel_.tuple(i).id] = i;
-  }
-  escore_order_.resize(static_cast<size_t>(n));
-  std::iota(escore_order_.begin(), escore_order_.end(), 0);
-  std::sort(escore_order_.begin(), escore_order_.end(), [&](int a, int b) {
-    const double ea = expected_scores_[static_cast<size_t>(a)];
-    const double eb = expected_scores_[static_cast<size_t>(b)];
-    if (ea != eb) return ea > eb;
-    return a < b;
-  });
-  shard_plan_ = internal::BuildAttrShardPlan(rel_, /*first_touch=*/true);
-}
+    : PreparedAttrRelation(
+          WithSeed(std::move(rel), &engine_internal::EagerAttrSeed)) {}
+
+PreparedAttrRelation::PreparedAttrRelation(
+    std::pair<AttrRelation, AttrPreparedSeed> seeded)
+    : PreparedAttrRelation(std::move(seeded.first),
+                           std::move(seeded.second)) {}
 
 PreparedAttrRelation::PreparedAttrRelation(AttrRelation rel,
                                            AttrPreparedSeed seed)
@@ -123,31 +118,13 @@ bool PreparedAttrRelation::HasCachedStat(const StatKey& key) const {
 }
 
 PreparedTupleRelation::PreparedTupleRelation(TupleRelation rel)
-    : rel_(std::move(rel)) {
-  const int n = rel_.size();
-  ids_.resize(static_cast<size_t>(n));
-  position_of_id_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ids_[static_cast<size_t>(i)] = rel_.tuple(i).id;
-    position_of_id_[rel_.tuple(i).id] = i;
-  }
-  rank_order_.resize(static_cast<size_t>(n));
-  std::iota(rank_order_.begin(), rank_order_.end(), 0);
-  std::sort(rank_order_.begin(), rank_order_.end(), [&](int a, int b) {
-    const double sa = rel_.tuple(a).score;
-    const double sb = rel_.tuple(b).score;
-    if (sa != sb) return sa > sb;
-    return a < b;
-  });
-  prefix_prob_.assign(static_cast<size_t>(n) + 1, 0.0);
-  for (int j = 0; j < n; ++j) {
-    prefix_prob_[static_cast<size_t>(j) + 1] =
-        prefix_prob_[static_cast<size_t>(j)] +
-        rel_.tuple(rank_order_[static_cast<size_t>(j)]).prob;
-  }
-  shard_plan_ =
-      internal::BuildTupleShardPlan(rel_, rank_order_, /*first_touch=*/true);
-}
+    : PreparedTupleRelation(
+          WithSeed(std::move(rel), &engine_internal::EagerTupleSeed)) {}
+
+PreparedTupleRelation::PreparedTupleRelation(
+    std::pair<TupleRelation, TuplePreparedSeed> seeded)
+    : PreparedTupleRelation(std::move(seeded.first),
+                            std::move(seeded.second)) {}
 
 PreparedTupleRelation::PreparedTupleRelation(TupleRelation rel,
                                              TuplePreparedSeed seed)
@@ -166,9 +143,8 @@ PreparedTupleRelation::PreparedTupleRelation(TupleRelation rel,
     ids_[static_cast<size_t>(i)] = rel_.tuple(i).id;
     position_of_id_[rel_.tuple(i).id] = i;
   }
-  // Same planner call as the eager constructor — the grid and every copied
-  // value are pure functions of (rel, order); the pre-gathered probs only
-  // skip the gather pass.
+  // The grid and every copied value are pure functions of (rel, order);
+  // the pre-gathered probs only skip the planner's gather pass.
   shard_plan_ = internal::BuildTupleShardPlan(
       rel_, rank_order_, &seed.rank_probs, /*first_touch=*/true);
 }

@@ -126,14 +126,13 @@ class MemoTable {
 
 }  // namespace engine_internal
 
-// Precomputed preparation state handed over by the blocked builders
-// (core/engine/prepared_builder.h): the exact objects the eager
-// constructors below would compute from scratch, assembled incrementally
-// from score-sorted blocks instead. The seed constructors adopt them
-// without recomputing; every field must hold the same values (bit for
-// bit) the eager path would produce — the builders guarantee this by
-// running the same arithmetic in the same order, merely reorganized into
-// per-block runs merged at seal time.
+// Precomputed preparation state, the input of the seed constructors. Every
+// producer derives it through the one seed finish in
+// core/engine/prepared_builder.h: the eager constructors below (one sort
+// over the relation), the blocked builders (per-block runs merged at seal)
+// and the mutable store's Publish (base + delta runs merged, tombstones
+// filtered). The seed constructors adopt it without recomputing; every
+// field holds the same values, bit for bit, whichever producer made it.
 struct AttrPreparedSeed {
   std::vector<double> expected_scores;          // E[X_i] by position
   std::vector<int> escore_order;                // (E desc, index asc)
@@ -153,9 +152,12 @@ struct TuplePreparedSeed {
 // Non-copyable: hand out shared_ptr<const PreparedAttrRelation> instead.
 class PreparedAttrRelation {
  public:
+  // Eager preparation: derives the seed from `rel` with one sort
+  // (engine_internal::EagerAttrSeed) and delegates to the seed constructor.
   explicit PreparedAttrRelation(AttrRelation rel);
 
-  // Adopts preparation state assembled by PreparedAttrRelationBuilder.
+  // Adopts a seed (see AttrPreparedSeed); the one constructor that derives
+  // the remaining state (id index, shard plan).
   PreparedAttrRelation(AttrRelation rel, AttrPreparedSeed seed);
 
   PreparedAttrRelation(const PreparedAttrRelation&) = delete;
@@ -222,6 +224,9 @@ class PreparedAttrRelation {
   }
 
  private:
+  explicit PreparedAttrRelation(
+      std::pair<AttrRelation, AttrPreparedSeed> seeded);
+
   AttrRelation rel_;
   std::vector<int> ids_;
   std::vector<double> expected_scores_;
@@ -242,9 +247,12 @@ class PreparedAttrRelation {
 // id -> position index. Non-copyable.
 class PreparedTupleRelation {
  public:
+  // Eager preparation: derives the seed from `rel` with one sort
+  // (engine_internal::EagerTupleSeed) and delegates to the seed constructor.
   explicit PreparedTupleRelation(TupleRelation rel);
 
-  // Adopts preparation state assembled by PreparedTupleRelationBuilder.
+  // Adopts a seed (see TuplePreparedSeed); the one constructor that
+  // derives the remaining state (id index, shard plan).
   PreparedTupleRelation(TupleRelation rel, TuplePreparedSeed seed);
 
   PreparedTupleRelation(const PreparedTupleRelation&) = delete;
@@ -294,6 +302,9 @@ class PreparedTupleRelation {
   long long cache_misses() const { return stats_.misses(); }
 
  private:
+  explicit PreparedTupleRelation(
+      std::pair<TupleRelation, TuplePreparedSeed> seeded);
+
   TupleRelation rel_;
   std::vector<int> ids_;
   std::vector<int> rank_order_;

@@ -33,29 +33,39 @@ struct ValueUniverse {
   }
 };
 
-inline ValueUniverse BuildValueUniverse(const AttrRelation& rel) {
-  const int n = rel.size();
-  std::vector<std::pair<double, double>> universe;  // (value, mass)
-  universe.reserve(static_cast<size_t>(n) * 2);
-  for (int i = 0; i < n; ++i) {
-    for (const ScoreValue& sv : rel.tuple(i).pdf) {
-      universe.emplace_back(sv.value, sv.prob);
-    }
-  }
-  std::sort(universe.begin(), universe.end());
+// The one q(v) collapse: builds the universe from an ascending (value,
+// mass) sequence. `for_each_pair(add)` must call add(value, mass) once per
+// support point, in ascending (value, mass) order; equal values collapse
+// into one mass summed left to right, then one suffix-sum pass runs. Every
+// producer (the eager sort below, the blocked builder's run merge, the
+// mutable store's base + delta merge) feeds the same ascending sequence,
+// so the sums — and the universe — are bit-identical across them.
+template <typename ForEachPair>
+ValueUniverse CollapseSortedValues(const ForEachPair& for_each_pair) {
   ValueUniverse u;
-  // Collapse duplicates.
-  for (const auto& [v, p] : universe) {
+  for_each_pair([&u](double v, double p) {
     if (!u.values.empty() && u.values.back() == v) {
       u.mass.back() += p;
     } else {
       u.values.push_back(v);
       u.mass.push_back(p);
     }
-  }
+  });
   u.suffix.resize(u.values.size() + 1);
   vk::Active().suffix_sum(u.mass.data(), u.suffix.data(), u.values.size());
   return u;
+}
+
+inline ValueUniverse BuildValueUniverse(const AttrRelation& rel) {
+  std::vector<std::pair<double, double>> pairs;  // (value, mass)
+  pairs.reserve(static_cast<size_t>(rel.size()) * 2);
+  for (const AttrTuple& t : rel.tuples()) {
+    for (const ScoreValue& sv : t.pdf) pairs.emplace_back(sv.value, sv.prob);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return CollapseSortedValues([&pairs](const auto& add) {
+    for (const auto& [v, p] : pairs) add(v, p);
+  });
 }
 
 }  // namespace internal

@@ -99,7 +99,7 @@ bool FromString(std::string_view name, WireModel* out);
 // `tuple`/`rule_key`, an attribute-level payload fills `attr_tuple`; the
 // server rejects a shape mismatch at execution.
 struct WireMutation {
-  enum class Op { kInsert, kDelete, kUpdate };
+  using Op = MutationOp;
   Op op = Op::kInsert;
   // kDelete target.
   int id = 0;

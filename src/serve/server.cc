@@ -3,6 +3,7 @@
 #include <chrono>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "core/engine/trace.h"
@@ -94,36 +95,23 @@ bool Server::LoadRelationFile(const std::string& name, WireModel model,
   return LoadRelation(name, model, in, error);
 }
 
-void Server::AddRelation(const std::string& name, TupleRelation rel) {
-  RelationEntry entry;
-  entry.model = WireModel::kTuple;
+template <typename Store, typename Relation>
+void Server::AddStore(const std::string& name, const Relation& rel) {
   // Store construction publishes epoch 1 (the full prepare) — done
   // outside the registry lock so loads never stall queries.
-  entry.tuple_store = std::make_shared<MutableTupleRelation>(rel);
-  entry.engine = std::make_shared<QueryEngine>(entry.tuple_store);
+  auto store = std::make_shared<Store>(rel);
+  RelationEntry entry;
+  entry.engine = std::make_shared<QueryEngine>(store);
+  entry.store = std::move(store);
   RegisterEntry(name, std::move(entry));
+}
+
+void Server::AddRelation(const std::string& name, TupleRelation rel) {
+  AddStore<MutableTupleRelation>(name, rel);
 }
 
 void Server::AddRelation(const std::string& name, AttrRelation rel) {
-  RelationEntry entry;
-  entry.model = WireModel::kAttr;
-  entry.attr_store = std::make_shared<MutableAttrRelation>(rel);
-  entry.engine = std::make_shared<QueryEngine>(entry.attr_store);
-  RegisterEntry(name, std::move(entry));
-}
-
-std::shared_ptr<MutableTupleRelation> Server::MutableTupleStore(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  const auto it = registry_.find(name);
-  return it == registry_.end() ? nullptr : it->second.tuple_store;
-}
-
-std::shared_ptr<MutableAttrRelation> Server::MutableAttrStore(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  const auto it = registry_.find(name);
-  return it == registry_.end() ? nullptr : it->second.attr_store;
+  AddStore<MutableAttrRelation>(name, rel);
 }
 
 void Server::RegisterEntry(const std::string& name, RelationEntry entry) {
@@ -134,11 +122,8 @@ void Server::RegisterEntry(const std::string& name, RelationEntry entry) {
     // results keyed under the old store's epochs can never alias answers
     // from the new contents.
     const std::uint64_t floor = it->second.epoch() + 1;
-    if (entry.tuple_store != nullptr) {
-      entry.tuple_store->EnsureEpochAtLeast(floor);
-    } else {
-      entry.attr_store->EnsureEpochAtLeast(floor);
-    }
+    std::visit([floor](const auto& s) { s->EnsureEpochAtLeast(floor); },
+               entry.store);
   }
   registry_[name] = std::move(entry);
 }
@@ -148,7 +133,7 @@ std::vector<RelationInfo> Server::Relations() const {
   std::vector<RelationInfo> infos;
   infos.reserve(registry_.size());
   for (const auto& [name, entry] : registry_) {
-    infos.push_back({name, entry.model, entry.epoch(), entry.tuples()});
+    infos.push_back({name, entry.model(), entry.epoch(), entry.tuples()});
   }
   return infos;
 }
@@ -398,111 +383,79 @@ std::string Server::ExecuteAdminLoad(const WireRequest& request) {
   return RenderLoadResponse(request.id, request.name, epoch, tuples);
 }
 
+namespace {
+
+// Translates the model-agnostic wire ops into `Store`'s mutation type and
+// applies them as one batch; on success publishes and reports the new
+// epoch and live size. A payload shape that does not match the relation's
+// model fails with `*invalid` set (an invalid request, not a store error).
+template <typename Store>
+bool ApplyWireMutations(const WireRequest& request, Store& store,
+                        std::uint64_t* epoch, long long* tuples,
+                        bool* invalid, std::string* error) {
+  constexpr bool kTupleLevel = std::is_same_v<Store, MutableTupleRelation>;
+  std::vector<typename Store::Mutation> ops(request.mutations.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const WireMutation& wm = request.mutations[i];
+    typename Store::Mutation& op = ops[i];
+    op.op = wm.op;
+    if (wm.op == MutationOp::kDelete) {
+      op.id = wm.id;
+      continue;
+    }
+    if (wm.has_pdf == kTupleLevel) {
+      *invalid = true;
+      *error = "ops[" + std::to_string(i) + "]: relation \"" +
+               request.relation + "\" is " +
+               (kTupleLevel
+                    ? "tuple-level; op carries a \"pdf\" payload"
+                    : "attribute-level; op needs a \"pdf\" payload");
+      return false;
+    }
+    if constexpr (kTupleLevel) {
+      op.tuple = wm.tuple;
+      op.rule_key = wm.rule_key;
+    } else {
+      op.tuple = wm.attr_tuple;
+    }
+  }
+  if (!store.Apply(ops, error)) return false;
+  *epoch = store.Publish().epoch;
+  *tuples = store.live_size();
+  return true;
+}
+
+}  // namespace
+
 std::string Server::ExecuteMutate(const WireRequest& request) {
   metrics::ScopedHistogramTimer timer(Metrics().mutate_us);
-  std::shared_ptr<MutableTupleRelation> tuple_store;
-  std::shared_ptr<MutableAttrRelation> attr_store;
+  RelationEntry entry;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
     const auto it = registry_.find(request.relation);
-    if (it != registry_.end()) {
-      tuple_store = it->second.tuple_store;
-      attr_store = it->second.attr_store;
-    }
+    if (it != registry_.end()) entry = it->second;
   }
-  if (tuple_store == nullptr && attr_store == nullptr) {
+  if (entry.engine == nullptr) {
     Metrics().errors.Increment();
     return RenderErrorResponse(request.id, QueryStatusCode::kUnknownRelation,
                                "unknown relation \"" + request.relation +
                                    "\" (load it with admin/load)");
   }
 
-  // Translate the model-agnostic wire ops into the store's mutation type,
-  // rejecting payload shapes that do not match the relation's model.
-  std::string error;
-  bool ok = false;
   std::uint64_t epoch = 0;
   long long tuples = 0;
-  if (tuple_store != nullptr) {
-    std::vector<TupleMutation> ops;
-    ops.reserve(request.mutations.size());
-    for (std::size_t i = 0; i < request.mutations.size(); ++i) {
-      const WireMutation& wm = request.mutations[i];
-      TupleMutation op;
-      switch (wm.op) {
-        case WireMutation::Op::kInsert:
-          op.op = TupleMutation::Op::kInsert;
-          break;
-        case WireMutation::Op::kDelete:
-          op.op = TupleMutation::Op::kDelete;
-          break;
-        case WireMutation::Op::kUpdate:
-          op.op = TupleMutation::Op::kUpdate;
-          break;
-      }
-      if (wm.op == WireMutation::Op::kDelete) {
-        op.id = wm.id;
-      } else {
-        if (wm.has_pdf) {
-          Metrics().errors.Increment();
-          return RenderErrorResponse(
-              request.id, QueryStatusCode::kInvalidRequest,
-              "ops[" + std::to_string(i) + "]: relation \"" +
-                  request.relation +
-                  "\" is tuple-level; op carries a \"pdf\" payload");
-        }
-        op.tuple = wm.tuple;
-        op.rule_key = wm.rule_key;
-      }
-      ops.push_back(std::move(op));
-    }
-    ok = tuple_store->Apply(ops, &error);
-    if (ok) {
-      epoch = tuple_store->Publish().epoch;
-      tuples = tuple_store->live_size();
-    }
-  } else {
-    std::vector<AttrMutation> ops;
-    ops.reserve(request.mutations.size());
-    for (std::size_t i = 0; i < request.mutations.size(); ++i) {
-      const WireMutation& wm = request.mutations[i];
-      AttrMutation op;
-      switch (wm.op) {
-        case WireMutation::Op::kInsert:
-          op.op = AttrMutation::Op::kInsert;
-          break;
-        case WireMutation::Op::kDelete:
-          op.op = AttrMutation::Op::kDelete;
-          break;
-        case WireMutation::Op::kUpdate:
-          op.op = AttrMutation::Op::kUpdate;
-          break;
-      }
-      if (wm.op == WireMutation::Op::kDelete) {
-        op.id = wm.id;
-      } else {
-        if (!wm.has_pdf) {
-          Metrics().errors.Increment();
-          return RenderErrorResponse(
-              request.id, QueryStatusCode::kInvalidRequest,
-              "ops[" + std::to_string(i) + "]: relation \"" +
-                  request.relation +
-                  "\" is attribute-level; op needs a \"pdf\" payload");
-        }
-        op.tuple = wm.attr_tuple;
-      }
-      ops.push_back(std::move(op));
-    }
-    ok = attr_store->Apply(ops, &error);
-    if (ok) {
-      epoch = attr_store->Publish().epoch;
-      tuples = attr_store->live_size();
-    }
-  }
+  bool invalid = false;
+  std::string error;
+  const bool ok = std::visit(
+      [&](const auto& store) {
+        return ApplyWireMutations(request, *store, &epoch, &tuples, &invalid,
+                                  &error);
+      },
+      entry.store);
   if (!ok) {
     Metrics().errors.Increment();
     return RenderErrorResponse(request.id, QueryStatusCode::kInvalidRequest,
-                               "mutate failed: " + error);
+                               invalid ? error : "mutate failed: " + error);
   }
   Metrics().mutate_ops.Increment(
       static_cast<long long>(request.mutations.size()));

@@ -49,6 +49,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/engine/query_engine.h"
@@ -105,13 +106,18 @@ class Server {
   void AddRelation(const std::string& name, TupleRelation rel);
   void AddRelation(const std::string& name, AttrRelation rel);
 
-  // The mutable store behind a registered relation (nullptr when `name`
-  // is unknown or backed by the other model). In-process writers may
+  // The mutable store behind a registered relation — Store is
+  // MutableTupleRelation or MutableAttrRelation — or nullptr when `name`
+  // is unknown or backed by the other model. In-process writers may
   // mutate/publish through it directly; the wire path is `mutate`.
-  std::shared_ptr<MutableTupleRelation> MutableTupleStore(
-      const std::string& name) const;
-  std::shared_ptr<MutableAttrRelation> MutableAttrStore(
-      const std::string& name) const;
+  template <typename Store>
+  std::shared_ptr<Store> MutableStore(const std::string& name) const {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    const auto it = registry_.find(name);
+    if (it == registry_.end()) return nullptr;
+    const auto* held = std::get_if<std::shared_ptr<Store>>(&it->second.store);
+    return held != nullptr ? *held : nullptr;
+  }
 
   std::vector<RelationInfo> Relations() const;
 
@@ -133,24 +139,25 @@ class Server {
   ResultCache& result_cache() { return cache_; }
 
  private:
-  // Every registered relation is backed by a mutable store (exactly one
-  // of the two pointers is set, matching `model`); the engine wraps that
-  // store, so queries always resolve its latest published epoch. A
-  // replacement load installs a fresh store whose epoch continues past
-  // the old one's (EnsureEpochAtLeast), keeping result-cache keys unique.
+  // Every registered relation is backed by a mutable store; the engine
+  // wraps that store, so queries always resolve its latest published
+  // epoch. A replacement load installs a fresh store whose epoch continues
+  // past the old one's (EnsureEpochAtLeast), keeping result-cache keys
+  // unique.
   struct RelationEntry {
     std::shared_ptr<const QueryEngine> engine;
-    WireModel model = WireModel::kTuple;
-    std::shared_ptr<MutableTupleRelation> tuple_store;
-    std::shared_ptr<MutableAttrRelation> attr_store;
+    std::variant<std::shared_ptr<MutableTupleRelation>,
+                 std::shared_ptr<MutableAttrRelation>>
+        store;
 
+    WireModel model() const {
+      return store.index() == 0 ? WireModel::kTuple : WireModel::kAttr;
+    }
     std::uint64_t epoch() const {
-      return tuple_store != nullptr ? tuple_store->epoch()
-                                    : attr_store->epoch();
+      return std::visit([](const auto& s) { return s->epoch(); }, store);
     }
     long long tuples() const {
-      return tuple_store != nullptr ? tuple_store->live_size()
-                                    : attr_store->live_size();
+      return std::visit([](const auto& s) { return s->live_size(); }, store);
     }
   };
 
@@ -163,6 +170,8 @@ class Server {
     std::uint64_t deadline_ns = 0;
   };
 
+  template <typename Store, typename Relation>
+  void AddStore(const std::string& name, const Relation& rel);
   void RegisterEntry(const std::string& name, RelationEntry entry);
   void WorkerLoop();
   // Runs one dequeued job to completion and resolves its promise.

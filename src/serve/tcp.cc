@@ -7,7 +7,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -30,6 +32,30 @@ bool WriteAll(int fd, const std::string& data) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+// Longest request line a connection accepts: above any inline admin/load a
+// test or tool sends (larger relations load by path). A client that
+// exceeds it gets one invalid-request response naming the limit, and the
+// connection is closed.
+constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
+
+// Half-closes `fd` and discards what the peer is still sending (for at
+// most two seconds), so closing with unread input does not reset the
+// connection and destroy the response just written.
+void DrainBeforeClose(int fd) {
+  ::shutdown(fd, SHUT_WR);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  char sink[4096];
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    const ssize_t n = ::recv(fd, sink, sizeof(sink), 0);
+    if (n == 0 || (n < 0 && errno != EINTR)) return;
+  }
 }
 
 }  // namespace
@@ -81,14 +107,17 @@ void TcpServer::Shutdown() {
     }
     accept_thread_.join();
   }
-  std::vector<int> fds;
   std::vector<std::thread> threads;
   {
+    // Shut down under the lock: a connection drops its fd from conn_fds_
+    // under the same lock before closing it, so every fd here is still
+    // open (never a recycled number).
     std::lock_guard<std::mutex> lock(conn_mu_);
-    fds.swap(conn_fds_);
+    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    conn_fds_.clear();
     threads.swap(conn_threads_);
+    finished_.clear();
   }
-  for (int fd : fds) ::shutdown(fd, SHUT_RDWR);
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }
@@ -109,21 +138,39 @@ void TcpServer::AcceptLoop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ConnectionLoop(fd); });
+    std::vector<std::thread> reaped;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      // Reap the connection threads that have finished since the last
+      // accept, so a connect/disconnect loop holds a bounded thread set.
+      for (const std::thread::id id : finished_) {
+        const auto it = std::find_if(
+            conn_threads_.begin(), conn_threads_.end(),
+            [id](const std::thread& t) { return t.get_id() == id; });
+        reaped.push_back(std::move(*it));
+        conn_threads_.erase(it);
+      }
+      finished_.clear();
+      conn_fds_.push_back(fd);
+      conn_threads_.emplace_back([this, fd] { ConnectionLoop(fd); });
+    }
+    for (std::thread& t : reaped) t.join();
   }
 }
 
 void TcpServer::ConnectionLoop(int fd) {
   std::string buffer;
+  std::size_t scanned = 0;  // buffer[0, scanned) holds no newline
   char chunk[4096];
+  bool open = true;
   for (;;) {
-    // Serve every complete line already buffered.
+    // Serve every complete line already buffered, resuming the newline
+    // search where the last one stopped (a long line is scanned once). An
+    // oversized line stops the loop and stays at the buffer's front.
     std::size_t start = 0;
     for (;;) {
-      const std::size_t nl = buffer.find('\n', start);
-      if (nl == std::string::npos) break;
+      const std::size_t nl = buffer.find('\n', std::max(start, scanned));
+      if (nl == std::string::npos || nl - start > kMaxLineBytes) break;
       std::string line = buffer.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       start = nl + 1;
@@ -131,16 +178,35 @@ void TcpServer::ConnectionLoop(int fd) {
       std::string response = server_->HandleLine(line);
       response.push_back('\n');
       if (!WriteAll(fd, response)) {
-        ::close(fd);
-        return;
+        open = false;
+        break;
       }
     }
+    if (!open) break;
     buffer.erase(0, start);
+    scanned = buffer.size();
+    if (buffer.size() > kMaxLineBytes) {
+      WriteAll(fd, RenderErrorResponse(
+                       JsonValue(), QueryStatusCode::kInvalidRequest,
+                       "request line exceeds the " +
+                           std::to_string(kMaxLineBytes >> 20) +
+                           " MiB limit; connection closed") +
+                       "\n");
+      DrainBeforeClose(fd);
+      break;
+    }
 
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // peer closed (or Shutdown shut the socket down)
     buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    // Absent once Shutdown has taken the list over.
+    const auto it = std::find(conn_fds_.begin(), conn_fds_.end(), fd);
+    if (it != conn_fds_.end()) conn_fds_.erase(it);
+    finished_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }

@@ -13,6 +13,11 @@
 // ephemeral port; port() reports what the kernel assigned (the test and
 // benchmark harnesses depend on this).
 //
+// Each request line is capped at 64 MiB; a longer line is answered once
+// with invalid-request naming the limit and its connection is closed.
+// Finished connection threads are joined at the next accept, so a
+// connect/disconnect loop keeps a bounded thread set.
+//
 // Shutdown(): stops accepting, shuts down every open connection and
 // joins all transport threads. It does NOT drain the Server — callers
 // sequence transport shutdown and Server::Drain explicitly (urankd does
@@ -23,6 +28,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -62,8 +68,11 @@ class TcpServer {
   std::thread accept_thread_;
 
   std::mutex conn_mu_;
+  // Open connection fds; a connection removes its own before closing it.
   std::vector<int> conn_fds_;
   std::vector<std::thread> conn_threads_;
+  // Connection threads that have returned, joined at the next accept.
+  std::vector<std::thread::id> finished_;
 };
 
 }  // namespace serve

@@ -1,6 +1,8 @@
 // Unit tests for the mutable stores (core/engine/mutable_relation.h):
 // mutation contracts and rollback, epoch lifecycle, snapshot isolation,
-// delta consolidation and compaction bookkeeping. The bit-identity of
+// delta consolidation and compaction bookkeeping. Behaviour the store
+// template shares is one typed suite over both instantiations; the model
+// contracts (rule mass, pdf validation) stay per model. The bit-identity of
 // published epochs against from-scratch prepares is the epoch-identity
 // suite's job (epoch_identity_test.cc); here we pin the store mechanics.
 
@@ -16,6 +18,34 @@
 #include "model/tuple_model.h"
 
 namespace urank {
+
+// Per-model test vocabulary, the type parameter of the typed suite that
+// checks the shared store behaviour on both instantiations. Named outside
+// the anonymous namespace so test names print a short type.
+namespace store_test {
+
+struct Tuple {
+  using Store = MutableTupleRelation;
+  static TLTuple Row(int id, double score) { return {id, score, 0.5}; }
+  static bool Insert(Store& store, int id, double score,
+                     std::string* error = nullptr) {
+    return store.Insert(Row(id, score), -1, error);
+  }
+};
+
+struct Attr {
+  using Store = MutableAttrRelation;
+  static AttrTuple Row(int id, double score) {
+    return {id, {{score, 0.5}, {score + 0.25, 0.5}}};
+  }
+  static bool Insert(Store& store, int id, double score,
+                     std::string* error = nullptr) {
+    return store.Insert(Row(id, score), error);
+  }
+};
+
+}  // namespace store_test
+
 namespace {
 
 TLTuple T(int id, double score, double prob) {
@@ -33,14 +63,135 @@ AttrTuple A(int id, std::vector<ScoreValue> pdf) {
   return t;
 }
 
-TEST(MutableTupleRelationTest, ConstructorPublishesEpochOne) {
-  MutableTupleRelation store;
+template <typename Model>
+class MutableRelationTest : public ::testing::Test {};
+
+using Models = ::testing::Types<store_test::Tuple, store_test::Attr>;
+TYPED_TEST_SUITE(MutableRelationTest, Models);
+
+TYPED_TEST(MutableRelationTest, ConstructorPublishesEpochOne) {
+  typename TypeParam::Store store;
   EXPECT_EQ(store.epoch(), 1u);
   EXPECT_EQ(store.live_size(), 0);
-  TupleEpochSnapshot snap = store.Snapshot();
+  const auto snap = store.Snapshot();
   ASSERT_NE(snap.prepared, nullptr);
   EXPECT_EQ(snap.epoch, 1u);
   EXPECT_EQ(snap.prepared->size(), 0);
+}
+
+TYPED_TEST(MutableRelationTest, MutationsInvisibleUntilPublish) {
+  using M = TypeParam;
+  typename M::Store store;
+  ASSERT_TRUE(M::Insert(store, 1, 10.0));
+  EXPECT_TRUE(store.dirty());
+  EXPECT_EQ(store.live_size(), 1);
+  // Readers still see epoch 1 (empty) until Publish.
+  EXPECT_EQ(store.Snapshot().prepared->size(), 0);
+  const auto snap = store.Publish();
+  EXPECT_EQ(snap.epoch, 2u);
+  EXPECT_EQ(snap.prepared->size(), 1);
+  EXPECT_FALSE(store.dirty());
+}
+
+TYPED_TEST(MutableRelationTest, PublishWithoutPendingMutationsIsIdempotent) {
+  using M = TypeParam;
+  typename M::Store store;
+  ASSERT_TRUE(M::Insert(store, 1, 10.0));
+  const auto first = store.Publish();
+  const auto second = store.Publish();
+  EXPECT_EQ(second.epoch, first.epoch);
+  EXPECT_EQ(second.prepared.get(), first.prepared.get());
+}
+
+TYPED_TEST(MutableRelationTest, SnapshotIsolationAcrossPublishes) {
+  using M = TypeParam;
+  typename M::Store store;
+  ASSERT_TRUE(M::Insert(store, 1, 10.0));
+  store.Publish();
+  const auto before = store.Snapshot();
+  ASSERT_TRUE(M::Insert(store, 2, 20.0));
+  store.Publish();
+  // The old snapshot still reads its own epoch's contents.
+  EXPECT_EQ(before.epoch, 2u);
+  EXPECT_EQ(before.prepared->size(), 1);
+  EXPECT_EQ(store.Snapshot().epoch, 3u);
+  EXPECT_EQ(store.Snapshot().prepared->size(), 2);
+}
+
+TYPED_TEST(MutableRelationTest, RejectsDuplicateLiveId) {
+  using M = TypeParam;
+  typename M::Store store;
+  ASSERT_TRUE(M::Insert(store, 1, 10.0));
+  std::string error;
+  EXPECT_FALSE(M::Insert(store, 1, 5.0, &error));
+  EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
+  // The id becomes insertable again once the live holder dies.
+  ASSERT_TRUE(store.Delete(1, nullptr));
+  EXPECT_TRUE(M::Insert(store, 1, 5.0));
+}
+
+TYPED_TEST(MutableRelationTest, ApplyIsAllOrNothing) {
+  using M = TypeParam;
+  typename M::Store store;
+  ASSERT_TRUE(M::Insert(store, 1, 10.0));
+  store.Publish();
+
+  std::vector<typename M::Store::Mutation> batch(3);
+  batch[0].op = MutationOp::kInsert;
+  batch[0].tuple = M::Row(2, 9.0);
+  batch[1].op = MutationOp::kDelete;
+  batch[1].id = 1;
+  batch[2].op = MutationOp::kInsert;
+  batch[2].tuple = M::Row(2, 8.0);  // duplicate of batch[0]: fails
+
+  std::string error;
+  EXPECT_FALSE(store.Apply(batch, &error));
+  EXPECT_NE(error.find("op 2"), std::string::npos) << error;
+  // Rolled back wholesale: tuple 1 alive, tuple 2 absent, nothing dirty
+  // beyond the already-published state.
+  EXPECT_EQ(store.live_size(), 1);
+  const auto snap = store.Publish();
+  ASSERT_EQ(snap.prepared->size(), 1);
+  EXPECT_EQ(snap.prepared->relation().tuple(0).id, 1);
+
+  batch[2].tuple.id = 3;
+  EXPECT_TRUE(store.Apply(batch, &error)) << error;
+  EXPECT_EQ(store.live_size(), 2);
+}
+
+TYPED_TEST(MutableRelationTest, DeltaConsolidationAndCompactionCounters) {
+  using M = TypeParam;
+  MutableRelationOptions options;
+  options.delta_merge_threshold = 4;
+  options.compact_min_dead = 2;
+  typename M::Store store(options);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(M::Insert(store, i, 100.0 - i));
+  store.Publish();  // 8 >= 4: consolidates
+  EXPECT_GE(store.delta_merges(), 1u);
+  const std::uint64_t merges_before = store.delta_merges();
+  ASSERT_TRUE(M::Insert(store, 100, 50.0));
+  store.Publish();  // 1 < 4: merged on the fly, not consolidated
+  EXPECT_EQ(store.delta_merges(), merges_before);
+
+  // Kill 7 of the 9 live entries so the dead outnumber the live (7 > 6
+  // after the four fresh inserts); the next consolidation compacts.
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(store.Delete(i, nullptr));
+  for (int i = 200; i < 204; ++i) ASSERT_TRUE(M::Insert(store, i, 10.0 + i));
+  const auto snap = store.Publish();
+  EXPECT_EQ(store.compactions(), 1u);
+  EXPECT_EQ(snap.prepared->size(), 6);
+  EXPECT_EQ(store.live_size(), 6);
+}
+
+TYPED_TEST(MutableRelationTest, EnsureEpochAtLeastOnlyRaises) {
+  using M = TypeParam;
+  typename M::Store store;
+  store.EnsureEpochAtLeast(10);
+  EXPECT_EQ(store.epoch(), 10u);
+  store.EnsureEpochAtLeast(4);
+  EXPECT_EQ(store.epoch(), 10u);
+  ASSERT_TRUE(M::Insert(store, 1, 1.0));
+  EXPECT_EQ(store.Publish().epoch, 11u);
 }
 
 TEST(MutableTupleRelationTest, SeededConstructorPreservesContents) {
@@ -59,53 +210,6 @@ TEST(MutableTupleRelationTest, SeededConstructorPreservesContents) {
   EXPECT_EQ(snap.prepared->relation().tuple(2).id, 5);
   // One explicit rule plus the auto-appended singleton for tuple 3.
   EXPECT_EQ(snap.prepared->relation().num_rules(), 2);
-}
-
-TEST(MutableTupleRelationTest, MutationsInvisibleUntilPublish) {
-  MutableTupleRelation store;
-  ASSERT_TRUE(store.Insert(T(1, 10.0, 0.5), -1, nullptr));
-  EXPECT_TRUE(store.dirty());
-  EXPECT_EQ(store.live_size(), 1);
-  // Readers still see epoch 1 (empty) until Publish.
-  EXPECT_EQ(store.Snapshot().prepared->size(), 0);
-  TupleEpochSnapshot snap = store.Publish();
-  EXPECT_EQ(snap.epoch, 2u);
-  EXPECT_EQ(snap.prepared->size(), 1);
-  EXPECT_FALSE(store.dirty());
-}
-
-TEST(MutableTupleRelationTest, PublishWithoutPendingMutationsIsIdempotent) {
-  MutableTupleRelation store;
-  ASSERT_TRUE(store.Insert(T(1, 10.0, 0.5), -1, nullptr));
-  const TupleEpochSnapshot first = store.Publish();
-  const TupleEpochSnapshot second = store.Publish();
-  EXPECT_EQ(second.epoch, first.epoch);
-  EXPECT_EQ(second.prepared.get(), first.prepared.get());
-}
-
-TEST(MutableTupleRelationTest, SnapshotIsolationAcrossPublishes) {
-  MutableTupleRelation store;
-  ASSERT_TRUE(store.Insert(T(1, 10.0, 0.5), -1, nullptr));
-  store.Publish();
-  TupleEpochSnapshot before = store.Snapshot();
-  ASSERT_TRUE(store.Insert(T(2, 20.0, 0.5), -1, nullptr));
-  store.Publish();
-  // The old snapshot still reads its own epoch's contents.
-  EXPECT_EQ(before.epoch, 2u);
-  EXPECT_EQ(before.prepared->size(), 1);
-  EXPECT_EQ(store.Snapshot().epoch, 3u);
-  EXPECT_EQ(store.Snapshot().prepared->size(), 2);
-}
-
-TEST(MutableTupleRelationTest, RejectsDuplicateLiveId) {
-  MutableTupleRelation store;
-  ASSERT_TRUE(store.Insert(T(1, 10.0, 0.5), -1, nullptr));
-  std::string error;
-  EXPECT_FALSE(store.Insert(T(1, 5.0, 0.5), -1, &error));
-  EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
-  // The id becomes insertable again once the live holder dies.
-  ASSERT_TRUE(store.Delete(1, nullptr));
-  EXPECT_TRUE(store.Insert(T(1, 5.0, 0.5), -1, nullptr));
 }
 
 TEST(MutableTupleRelationTest, RejectsInvalidTuplePayloads) {
@@ -155,71 +259,6 @@ TEST(MutableTupleRelationTest, UpdateMovesTupleBetweenRules) {
   EXPECT_EQ(snap.prepared->relation().num_rules(), 1);
 }
 
-TEST(MutableTupleRelationTest, ApplyIsAllOrNothing) {
-  MutableTupleRelation store;
-  ASSERT_TRUE(store.Insert(T(1, 10.0, 0.5), -1, nullptr));
-  store.Publish();
-
-  std::vector<TupleMutation> batch(3);
-  batch[0].op = TupleMutation::Op::kInsert;
-  batch[0].tuple = T(2, 9.0, 0.5);
-  batch[1].op = TupleMutation::Op::kDelete;
-  batch[1].id = 1;
-  batch[2].op = TupleMutation::Op::kInsert;
-  batch[2].tuple = T(2, 8.0, 0.5);  // duplicate of batch[0]: fails
-
-  std::string error;
-  EXPECT_FALSE(store.Apply(batch, &error));
-  EXPECT_NE(error.find("op 2"), std::string::npos) << error;
-  // Rolled back wholesale: tuple 1 alive, tuple 2 absent, nothing dirty
-  // beyond the already-published state.
-  EXPECT_EQ(store.live_size(), 1);
-  TupleEpochSnapshot snap = store.Publish();
-  ASSERT_EQ(snap.prepared->size(), 1);
-  EXPECT_EQ(snap.prepared->relation().tuple(0).id, 1);
-
-  batch[2].tuple.id = 3;
-  EXPECT_TRUE(store.Apply(batch, &error)) << error;
-  EXPECT_EQ(store.live_size(), 2);
-}
-
-TEST(MutableTupleRelationTest, DeltaConsolidationAndCompactionCounters) {
-  MutableRelationOptions options;
-  options.delta_merge_threshold = 4;
-  options.compact_min_dead = 2;
-  MutableTupleRelation store(options);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(store.Insert(T(i, 100.0 - i, 0.5), -1, nullptr));
-  }
-  store.Publish();  // 8 >= 4: consolidates
-  EXPECT_GE(store.delta_merges(), 1u);
-  const std::uint64_t merges_before = store.delta_merges();
-  ASSERT_TRUE(store.Insert(T(100, 50.0, 0.5), -1, nullptr));
-  store.Publish();  // 1 < 4: merged on the fly, not consolidated
-  EXPECT_EQ(store.delta_merges(), merges_before);
-
-  // Kill 7 of the 9 live entries so the dead outnumber the live (7 > 6
-  // after the four fresh inserts); the next consolidation compacts.
-  for (int i = 0; i < 7; ++i) ASSERT_TRUE(store.Delete(i, nullptr));
-  for (int i = 200; i < 204; ++i) {
-    ASSERT_TRUE(store.Insert(T(i, 10.0 + i, 0.5), -1, nullptr));
-  }
-  TupleEpochSnapshot snap = store.Publish();
-  EXPECT_EQ(store.compactions(), 1u);
-  EXPECT_EQ(snap.prepared->size(), 6);
-  EXPECT_EQ(store.live_size(), 6);
-}
-
-TEST(MutableTupleRelationTest, EnsureEpochAtLeastOnlyRaises) {
-  MutableTupleRelation store;
-  store.EnsureEpochAtLeast(10);
-  EXPECT_EQ(store.epoch(), 10u);
-  store.EnsureEpochAtLeast(4);
-  EXPECT_EQ(store.epoch(), 10u);
-  ASSERT_TRUE(store.Insert(T(1, 1.0, 0.5), -1, nullptr));
-  EXPECT_EQ(store.Publish().epoch, 11u);
-}
-
 TEST(MutableAttrRelationTest, InsertDeleteUpdateLifecycle) {
   MutableAttrRelation store;
   EXPECT_EQ(store.epoch(), 1u);
@@ -236,6 +275,23 @@ TEST(MutableAttrRelationTest, InsertDeleteUpdateLifecycle) {
   ASSERT_EQ(snap.prepared->size(), 1);
   EXPECT_EQ(snap.prepared->relation().tuple(0).id, 1);
   EXPECT_EQ(snap.prepared->relation().tuple(0).pdf.size(), 1u);
+}
+
+TEST(MutableAttrRelationTest, SeededConstructorPreservesContents) {
+  AttrRelation rel({A(7, {{3.0, 1.0}}), A(3, {{9.0, 0.5}, {1.0, 0.5}}),
+                    A(5, {{6.0, 1.0}})});
+  MutableAttrRelation store(rel);
+  EXPECT_EQ(store.epoch(), 1u);
+  EXPECT_EQ(store.live_size(), 3);
+  const AttrEpochSnapshot snap = store.Snapshot();
+  ASSERT_EQ(snap.prepared->size(), 3);
+  // Arrival order is relation index order; the seed matches an eager
+  // prepare of the same relation.
+  const PreparedAttrRelation eager(rel);
+  EXPECT_EQ(snap.prepared->ids(), eager.ids());
+  EXPECT_EQ(snap.prepared->escore_order(), eager.escore_order());
+  EXPECT_EQ(snap.prepared->expected_scores(), eager.expected_scores());
+  EXPECT_EQ(snap.prepared->universe().suffix, eager.universe().suffix);
 }
 
 TEST(MutableAttrRelationTest, RejectsInvalidPdfs) {

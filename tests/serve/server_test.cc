@@ -2,12 +2,17 @@
 // TCP transport: request handling against a live engine, result-cache
 // hit/miss/bypass behavior through the wire surface, epoch bumping on
 // reload, deterministic overload shedding and deadline expiry (workers ==
-// 0 keeps every job queued until Drain), graceful-drain semantics, and a
-// loopback TCP round trip.
+// 0 keeps every job queued until Drain), graceful-drain semantics,
+// attribute-level mutates against a shadow store, and the TCP transport:
+// a loopback round trip, the request-line cap and connection reaping.
 
 #include "serve/server.h"
 
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +33,15 @@ TupleRelation SmallRelation() {
       {3, 80.0, 0.5},
       {4, 70.0, 0.5},
       {5, 60.0, 0.3},
+  });
+}
+
+AttrRelation SmallAttrRelation() {
+  return AttrRelation({
+      {1, {{100.0, 0.5}, {40.0, 0.5}}},
+      {2, {{90.0, 1.0}}},
+      {3, {{80.0, 0.25}, {70.0, 0.75}}},
+      {4, {{50.0, 1.0}}},
   });
 }
 
@@ -74,6 +88,89 @@ TEST(Server, AnswersMatchADirectEngineRun) {
     EXPECT_DOUBLE_EQ(statistics->array_items()[i].number_value(),
                      direct.answer.statistics[i]);
   }
+}
+
+std::string MutateLine(int id, const std::string& relation,
+                       const std::string& op) {
+  return R"({"v":1,"type":"mutate","id":)" + std::to_string(id) +
+         R"(,"relation":")" + relation + R"(","ops":[)" + op + "]}";
+}
+
+TEST(Server, AttrMutateBumpsEpochAndMatchesAShadowStore) {
+  Server server(InlineOptions());
+  server.AddRelation("attr", SmallAttrRelation());
+  ASSERT_NE(server.MutableStore<MutableAttrRelation>("attr"), nullptr);
+  EXPECT_EQ(server.MutableStore<MutableTupleRelation>("attr"), nullptr);
+  auto shadow = std::make_shared<MutableAttrRelation>(SmallAttrRelation());
+  const QueryEngine shadow_engine(shadow);
+
+  struct Step {
+    std::string wire_op;
+    AttrMutation op;
+  };
+  std::vector<Step> steps(3);
+  steps[0].wire_op =
+      R"({"op":"insert","tuple":{"id":6,"pdf":[{"value":95,"prob":0.25},)"
+      R"({"value":20,"prob":0.75}]}})";
+  steps[0].op.op = MutationOp::kInsert;
+  steps[0].op.tuple = AttrTuple{6, {{95.0, 0.25}, {20.0, 0.75}}};
+  steps[1].wire_op =
+      R"({"op":"update","tuple":{"id":1,"pdf":[{"value":10,"prob":1}]}})";
+  steps[1].op.op = MutationOp::kUpdate;
+  steps[1].op.tuple = AttrTuple{1, {{10.0, 1.0}}};
+  steps[2].wire_op = R"({"op":"delete","id":2})";
+  steps[2].op.op = MutationOp::kDelete;
+  steps[2].op.id = 2;
+
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE(steps[i].wire_op);
+    const ParsedResponse mutated = Call(
+        &server, MutateLine(static_cast<int>(i), "attr", steps[i].wire_op));
+    ASSERT_EQ(mutated.code, QueryStatusCode::kOk) << mutated.error;
+    const double epoch = static_cast<double>(i) + 2.0;
+    EXPECT_EQ(mutated.body.Find("epoch")->number_value(), epoch);
+
+    std::string error;
+    ASSERT_TRUE(shadow->Apply({steps[i].op}, &error)) << error;
+    shadow->Publish();
+    EXPECT_EQ(mutated.body.Find("tuples")->number_value(),
+              static_cast<double>(shadow->live_size()));
+
+    const ParsedResponse answered = Call(
+        &server, R"({"v":1,"type":"query","id":9,"relation":"attr",)"
+                 R"("semantics":"expected-rank","k":3})");
+    ASSERT_EQ(answered.code, QueryStatusCode::kOk) << answered.error;
+    EXPECT_EQ(answered.body.Find("epoch")->number_value(), epoch);
+    QueryRequest request;
+    request.options.k = 3;
+    const QueryResult direct = shadow_engine.Run(request);
+    ASSERT_TRUE(direct.status.ok());
+    const auto& ids = answered.body.Find("ids")->array_items();
+    const auto& statistics =
+        answered.body.Find("statistics")->array_items();
+    ASSERT_EQ(ids.size(), direct.answer.ids.size());
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      EXPECT_EQ(ids[j].number_value(), direct.answer.ids[j]);
+      EXPECT_DOUBLE_EQ(statistics[j].number_value(),
+                       direct.answer.statistics[j]);
+    }
+  }
+}
+
+TEST(Server, AttrMutateWithoutPdfIsAnInvalidRequest) {
+  Server server(InlineOptions());
+  server.AddRelation("attr", SmallAttrRelation());
+  const ParsedResponse response = Call(
+      &server,
+      MutateLine(1, "attr",
+                 R"({"op":"insert","tuple":{"id":9,"score":1,"prob":0.5}})"));
+  EXPECT_EQ(response.code, QueryStatusCode::kInvalidRequest);
+  EXPECT_EQ(response.error,
+            "ops[0]: relation \"attr\" is attribute-level; op needs a "
+            "\"pdf\" payload");
+  ASSERT_EQ(server.Relations().size(), 1u);
+  EXPECT_EQ(server.Relations()[0].epoch, 1u);
+  EXPECT_EQ(server.Relations()[0].tuples, 4);
 }
 
 TEST(Server, CacheHitMissBypassThroughTheWireSurface) {
@@ -333,6 +430,89 @@ TEST(TcpTransport, LoopbackRoundTripAndShutdown) {
   transport.Shutdown();  // idempotent
   // After shutdown the connection is gone.
   EXPECT_FALSE(client.Call(kQueryLine, &response_line));
+}
+
+TEST(TcpTransport, OversizedLineIsRejectedAndOtherConnectionsServed) {
+  Server server(InlineOptions());
+  server.AddRelation("rel", SmallRelation());
+  TcpServer transport(&server);
+  std::string error;
+  ASSERT_TRUE(transport.Start(0, &error)) << error;
+
+  Client bystander;
+  ASSERT_TRUE(bystander.Connect("127.0.0.1", transport.port(), &error))
+      << error;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", transport.port(), &error)) << error;
+
+  // One byte over the 64 MiB cap: answered once, then the connection
+  // closes.
+  const std::string huge((std::size_t{64} << 20) + 1, 'x');
+  std::string response_line;
+  ASSERT_TRUE(client.Call(huge, &response_line));
+  ParsedResponse response;
+  ASSERT_TRUE(ParseResponse(response_line, &response)) << response_line;
+  EXPECT_EQ(response.code, QueryStatusCode::kInvalidRequest);
+  EXPECT_NE(response.error.find("64 MiB"), std::string::npos)
+      << response.error;
+  EXPECT_FALSE(client.Call(R"({"v":1,"type":"ping","id":2})", &response_line));
+
+  // Other connections, old and new, keep being served.
+  ASSERT_TRUE(bystander.Call(kQueryLine, &response_line));
+  ASSERT_TRUE(ParseResponse(response_line, &response));
+  EXPECT_EQ(response.code, QueryStatusCode::kOk);
+  Client fresh;
+  ASSERT_TRUE(fresh.Connect("127.0.0.1", transport.port(), &error)) << error;
+  ASSERT_TRUE(fresh.Call(R"({"v":1,"type":"ping","id":3})", &response_line));
+  ASSERT_TRUE(ParseResponse(response_line, &response));
+  EXPECT_EQ(response.code, QueryStatusCode::kOk);
+}
+
+// Live threads of this process, and its mapped address space in KiB (an
+// exited but unjoined thread keeps its stack mapped).
+std::size_t TaskCount() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+long long VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      long long kb = 0;
+      status >> kb;
+      return kb;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+TEST(TcpTransport, FinishedConnectionsAreReaped) {
+  Server server(InlineOptions());
+  TcpServer transport(&server);
+  std::string error;
+  ASSERT_TRUE(transport.Start(0, &error)) << error;
+
+  const std::size_t tasks_before = TaskCount();
+  const long long vm_before = VmSizeKb();
+  std::string response_line;
+  for (int i = 0; i < 500; ++i) {
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", transport.port(), &error))
+        << error;
+    ASSERT_TRUE(client.Call(R"({"v":1,"type":"ping","id":1})", &response_line));
+    client.Close();
+  }
+  EXPECT_LE(TaskCount(), tasks_before + 4);
+  // 500 unjoined connection threads would keep ~500 stacks mapped.
+  EXPECT_LT(VmSizeKb() - vm_before, 512LL << 10);
 }
 
 }  // namespace
