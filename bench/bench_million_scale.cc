@@ -78,7 +78,7 @@ struct Measurement {
 ParallelismOptions Par(int threads, PlacementPolicy placement) {
   ParallelismOptions par;
   par.threads = threads;
-  par.min_parallel_items = 1;
+  par.min_parallel_cells = 1;
   par.placement = placement;
   return par;
 }

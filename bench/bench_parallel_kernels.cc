@@ -6,7 +6,9 @@
 // 8 worker threads over one fixed relation each, verifying that every
 // thread count produces bit-identical distributions before reporting
 // wall-clock, speedup vs the single-thread run, and emitted-DP-cell
-// throughput.
+// throughput. Only the kernel is timed: each timed pass hands its rows to
+// a no-op sink, and the fingerprints and cell counts come from a second,
+// untimed pass.
 //
 // A second family of series pins each compiled-in SIMD dispatch target
 // (scalar, AVX2, AVX-512, NEON) in turn and re-runs the kernels single-
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,7 +63,7 @@ struct Measurement {
 ParallelismOptions Par(int threads) {
   ParallelismOptions par;
   par.threads = threads;
-  par.min_parallel_items = 1;
+  par.min_parallel_cells = 1;
   return par;
 }
 
@@ -85,27 +88,56 @@ long long CountNonzero(std::span<const double> row) {
   return cells;
 }
 
-// One scaling series: `sweep(threads, fingerprints, cells)` runs the
-// kernel and fills per-tuple fingerprints plus the emitted-cell count.
+// Receives output row `i` of one kernel run. Rows of distinct tuples may
+// arrive concurrently; one tuple's row arrives once.
+using RowSink = std::function<void(int i, std::span<const double> row)>;
+
+const RowSink kDiscardRows = [](int, std::span<const double>) {};
+
+// Per-tuple fingerprints and the emitted-cell total of one kernel run,
+// gathered by an untimed pass of `sweep`.
+struct RowDigest {
+  std::vector<std::uint64_t> prints;
+  long long cells = 0;
+};
+
+template <typename SweepFn>
+RowDigest Digest(int n, const SweepFn& sweep) {
+  RowDigest digest;
+  digest.prints.assign(static_cast<size_t>(n), 0);
+  std::vector<long long> row_cells(static_cast<size_t>(n), 0);
+  sweep([&](int i, std::span<const double> row) {
+    digest.prints[static_cast<size_t>(i)] = RowFingerprint(row);
+    row_cells[static_cast<size_t>(i)] = CountNonzero(row);
+  });
+  for (long long c : row_cells) digest.cells += c;
+  return digest;
+}
+
+// One scaling series: `sweep(threads, sink)` runs the kernel once and
+// hands every output row to `sink`. The timed pass discards the rows; a
+// second pass at the same thread count fingerprints them.
 template <typename SweepFn>
 std::vector<Measurement> ScalingSeries(const std::string& kernel, int n,
                                        const SweepFn& sweep) {
   std::vector<Measurement> series;
   std::vector<std::uint64_t> baseline;
   for (int threads : kThreadCounts) {
-    std::vector<std::uint64_t> prints(static_cast<size_t>(n), 0);
-    long long cells = 0;
     Timer timer;
-    sweep(threads, &prints, &cells);
+    sweep(threads, kDiscardRows);
+    const double wall_ms = timer.ElapsedMs();
+    const RowDigest digest = Digest(
+        n, [&](const RowSink& sink) { sweep(threads, sink); });
     Measurement m;
     m.kernel = kernel;
     m.n = n;
     m.threads = threads;
-    m.wall_ms = timer.ElapsedMs();
-    m.dp_cells = cells;
-    m.cells_per_s = m.wall_ms > 0.0 ? cells / (m.wall_ms / 1000.0) : 0.0;
-    if (threads == 1) baseline = prints;
-    m.identical_to_1t = prints == baseline;
+    m.wall_ms = wall_ms;
+    m.dp_cells = digest.cells;
+    m.cells_per_s =
+        m.wall_ms > 0.0 ? digest.cells / (m.wall_ms / 1000.0) : 0.0;
+    if (threads == 1) baseline = digest.prints;
+    m.identical_to_1t = digest.prints == baseline;
     m.speedup_vs_1t =
         m.wall_ms > 0.0 ? series.empty() ? 1.0 : series[0].wall_ms / m.wall_ms
                         : 0.0;
@@ -113,6 +145,14 @@ std::vector<Measurement> ScalingSeries(const std::string& kernel, int n,
     series.push_back(m);
   }
   return series;
+}
+
+// Hands a materialized rank matrix to `sink` row by row.
+void EmitRows(const std::vector<std::vector<double>>& rows,
+              const RowSink& sink) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    sink(static_cast<int>(i), rows[i]);
+  }
 }
 
 // Dispatch targets compiled into this binary and usable on this host,
@@ -126,19 +166,21 @@ std::vector<SimdTarget> AvailableTargets() {
   return targets;
 }
 
-// One single-threaded run of `sweep` per available dispatch target; the
-// speedup column is relative to the scalar run. Pins the process-wide
-// target for the duration of each run and restores the entry state.
+// One single-threaded run of `sweep(sink)` per available dispatch target;
+// the speedup column is relative to the scalar run. Pins the process-wide
+// target for the duration of each run and restores the entry state. The
+// timed runs discard their rows; the emitted cells are counted once, in an
+// untimed run on the entry target.
 template <typename SweepFn>
 std::vector<Measurement> DispatchSeries(const std::string& kernel, int n,
                                         const SweepFn& sweep) {
   const SimdTarget entry = ActiveSimdTarget();
+  const long long cells = Digest(n, sweep).cells;
   std::vector<Measurement> series;
   for (SimdTarget target : AvailableTargets()) {
     SetSimdTarget(target);
-    long long cells = 0;
     Timer timer;
-    sweep(&cells);
+    sweep(kDiscardRows);
     Measurement m;
     m.kernel = kernel;
     m.n = n;
@@ -163,16 +205,13 @@ std::vector<Measurement> TupleRankDistributionDispatchSeries(int n) {
   const TupleRelation rel = GenerateTupleRelation(config);
   const auto prepared = QueryEngine::Prepare(rel);
   return DispatchSeries(
-      "tuple_rank_distribution_simd", n, [&](long long* cells) {
-        std::vector<long long> chunk_cells(
-            static_cast<size_t>(TupleSweepChunkCount(rel)), 0);
+      "tuple_rank_distribution_simd", n, [&](const RowSink& sink) {
         KernelReport report;
         ForEachTupleRankDistribution(
             rel, prepared->rank_order(), TiePolicy::kBreakByIndex, Par(1),
-            &report, [&](int chunk, int /*i*/, std::span<const double> dist) {
-              chunk_cells[static_cast<size_t>(chunk)] += CountNonzero(dist);
+            &report, [&](int /*chunk*/, int i, std::span<const double> dist) {
+              sink(i, dist);
             });
-        for (long long c : chunk_cells) *cells += c;
       });
 }
 
@@ -183,11 +222,11 @@ std::vector<Measurement> AttrRankDistributionDispatchSeries(int n) {
   const AttrRelation rel = GenerateAttrRelation(config);
   const std::vector<internal::SortedPdf> pdfs = BuildSortedPdfs(rel);
   return DispatchSeries(
-      "attr_rank_distribution_simd", n, [&](long long* cells) {
+      "attr_rank_distribution_simd", n, [&](const RowSink& sink) {
         KernelReport report;
-        const std::vector<std::vector<double>> dists = AttrRankDistributions(
-            rel, pdfs, TiePolicy::kBreakByIndex, Par(1), &report);
-        for (const auto& dist : dists) *cells += CountNonzero(dist);
+        EmitRows(AttrRankDistributions(rel, pdfs, TiePolicy::kBreakByIndex,
+                                       Par(1), &report),
+                 sink);
       });
 }
 
@@ -198,21 +237,14 @@ std::vector<Measurement> TupleRankDistributionSeries(int n) {
   const TupleRelation rel = GenerateTupleRelation(config);
   const auto prepared = QueryEngine::Prepare(rel);
   return ScalingSeries(
-      "tuple_rank_distribution", n,
-      [&](int threads, std::vector<std::uint64_t>* prints, long long* cells) {
-        // Per-chunk cell counters fold after the sweep: chunk callbacks
-        // may run concurrently, but never for the same chunk.
-        std::vector<long long> chunk_cells(
-            static_cast<size_t>(TupleSweepChunkCount(rel)), 0);
+      "tuple_rank_distribution", n, [&](int threads, const RowSink& sink) {
         KernelReport report;
         ForEachTupleRankDistribution(
             rel, prepared->rank_order(), TiePolicy::kBreakByIndex,
             Par(threads), &report,
-            [&](int chunk, int i, std::span<const double> dist) {
-              (*prints)[static_cast<size_t>(i)] = RowFingerprint(dist);
-              chunk_cells[static_cast<size_t>(chunk)] += CountNonzero(dist);
+            [&](int /*chunk*/, int i, std::span<const double> dist) {
+              sink(i, dist);
             });
-        for (long long c : chunk_cells) *cells += c;
       });
 }
 
@@ -223,19 +255,14 @@ std::vector<Measurement> TuplePositionalSeries(int n) {
   const TupleRelation rel = GenerateTupleRelation(config);
   const auto prepared = QueryEngine::Prepare(rel);
   return ScalingSeries(
-      "tuple_positional", n,
-      [&](int threads, std::vector<std::uint64_t>* prints, long long* cells) {
-        std::vector<long long> chunk_cells(
-            static_cast<size_t>(TupleSweepChunkCount(rel)), 0);
+      "tuple_positional", n, [&](int threads, const RowSink& sink) {
         KernelReport report;
         ForEachTuplePositionalDistribution(
             rel, prepared->rank_order(), TiePolicy::kBreakByIndex,
             Par(threads), &report,
-            [&](int chunk, int i, std::span<const double> row) {
-              (*prints)[static_cast<size_t>(i)] = RowFingerprint(row);
-              chunk_cells[static_cast<size_t>(chunk)] += CountNonzero(row);
+            [&](int /*chunk*/, int i, std::span<const double> row) {
+              sink(i, row);
             });
-        for (long long c : chunk_cells) *cells += c;
       });
 }
 
@@ -246,16 +273,11 @@ std::vector<Measurement> AttrRankDistributionSeries(int n) {
   const AttrRelation rel = GenerateAttrRelation(config);
   const std::vector<internal::SortedPdf> pdfs = BuildSortedPdfs(rel);
   return ScalingSeries(
-      "attr_rank_distribution", n,
-      [&](int threads, std::vector<std::uint64_t>* prints, long long* cells) {
+      "attr_rank_distribution", n, [&](int threads, const RowSink& sink) {
         KernelReport report;
-        const std::vector<std::vector<double>> dists = AttrRankDistributions(
-            rel, pdfs, TiePolicy::kBreakByIndex, Par(threads), &report);
-        for (int i = 0; i < n; ++i) {
-          (*prints)[static_cast<size_t>(i)] =
-              RowFingerprint(dists[static_cast<size_t>(i)]);
-          *cells += CountNonzero(dists[static_cast<size_t>(i)]);
-        }
+        EmitRows(AttrRankDistributions(rel, pdfs, TiePolicy::kBreakByIndex,
+                                       Par(threads), &report),
+                 sink);
       });
 }
 

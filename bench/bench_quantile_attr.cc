@@ -50,10 +50,13 @@ BENCHMARK(BM_AttrQuantileRank_PdfSize)
 // DPs are independent, so the cubic wall parallelizes cleanly.
 void BM_AttrRankDistributions_Parallel(benchmark::State& state) {
   AttrRelation rel = MakeRelation(512, 5);
-  const int threads = static_cast<int>(state.range(0));
+  const std::vector<internal::SortedPdf> pdfs = BuildSortedPdfs(rel);
+  ParallelismOptions par;
+  par.threads = static_cast<int>(state.range(0));
+  par.min_parallel_cells = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AttrRankDistributionsParallel(
-        rel, TiePolicy::kBreakByIndex, threads));
+    benchmark::DoNotOptimize(AttrRankDistributions(
+        rel, pdfs, TiePolicy::kBreakByIndex, par, nullptr));
   }
 }
 BENCHMARK(BM_AttrRankDistributions_Parallel)

@@ -119,7 +119,8 @@ std::vector<double> TupleExpectedRanksSharded(
   const double ew = rel.ExpectedWorldSize();
   std::vector<double> ranks(static_cast<size_t>(n), 0.0);
   const int num_chunks = static_cast<int>(plan.shards.size());
-  const int workers = PlannedWorkers(par, static_cast<long long>(n));
+  const int workers =
+      PlannedWorkers(par, num_chunks, static_cast<long long>(n));
   const ForRunInfo info = ParallelForPlaced(
       num_chunks, workers, par.placement, [&](int chunk, int /*slot*/) {
         ExpectedRanksShardSweep(

@@ -13,6 +13,12 @@
 // vector_kernels.h run on aligned, structure-of-arrays scratch. AlignedBuf
 // deliberately leaves grown elements uninitialized — every kernel writes a
 // buffer before reading it, and the DP sweeps resize in the hot loop.
+//
+// The AlignedBuf object itself is cache-line aligned too: the DP loops
+// write its size on every trial, and per-worker buffers kept side by side
+// (a vector of one buffer per slot) would otherwise share a line and
+// serialize the workers on it — measured on the attribute-level quantile
+// prune at N = 1000 as no speed-up at 2 threads (docs/PERFORMANCE.md).
 
 #ifndef URANK_CORE_INTERNAL_KERNEL_ARENA_H_
 #define URANK_CORE_INTERNAL_KERNEL_ARENA_H_
@@ -32,7 +38,7 @@ namespace internal {
 // of the std::vector interface the kernels use, with one semantic change:
 // resize() never initializes grown elements. Contents survive resize up to
 // min(old size, new size), like std::vector.
-class AlignedBuf {
+class alignas(64) AlignedBuf {
  public:
   static constexpr std::size_t kAlignment = 64;
 
@@ -117,6 +123,9 @@ class AlignedBuf {
   std::size_t size_ = 0;
   std::size_t cap_ = 0;
 };
+
+static_assert(alignof(AlignedBuf) == AlignedBuf::kAlignment,
+              "per-worker AlignedBufs must not share a cache line");
 
 class KernelArena {
  public:

@@ -163,13 +163,18 @@ URANK_KERNEL PrunedTopKResult AttrQuantileRankTopKPrune(
     pmf[0] = 1.0;
   }
 
-  // Per-worker scratch for the exact per-tuple DP; block results land in
-  // disjoint quant[] entries, so the parallel section is deterministic.
+  // Per-worker scratch for the exact per-tuple DP; AlignedBuf is
+  // cache-line aligned, so every slot starts its own line. Block results
+  // land in disjoint quant[] entries, so the parallel section is
+  // deterministic.
   constexpr int kBlock = 64;
-  const int workers = PlannedWorkers(par, n);
-  std::vector<internal::AlignedBuf> pmf_scratch(
-      static_cast<size_t>(workers));
-  std::vector<std::vector<double>> dist(static_cast<size_t>(workers));
+  const int workers =
+      PlannedWorkers(par, n, static_cast<long long>(n) * n);
+  struct WorkerScratch {
+    internal::AlignedBuf pmf;
+    std::vector<double> dist;
+  };
+  std::vector<WorkerScratch> scratch(static_cast<size_t>(workers));
   std::vector<int> quant(kBlock, 0);
   KBestHeap heap(k, n);
   long long scanned = 0;
@@ -180,10 +185,9 @@ URANK_KERNEL PrunedTopKResult AttrQuantileRankTopKPrune(
     const ForRunInfo info = ParallelForPlaced(
         count, workers, par.placement, [&](int j, int slot) {
           const int i = order[static_cast<size_t>(block + j)];
-          const size_t s = static_cast<size_t>(slot);
-          AttrRankDistributionInto(rel, pdfs, i, ties, &pmf_scratch[s],
-                                   &dist[s]);
-          quant[static_cast<size_t>(j)] = QuantileFromPmf(dist[s], phi);
+          WorkerScratch& w = scratch[static_cast<size_t>(slot)];
+          AttrRankDistributionInto(rel, pdfs, i, ties, &w.pmf, &w.dist);
+          quant[static_cast<size_t>(j)] = QuantileFromPmf(w.dist, phi);
         });
     if (report != nullptr) {
       KernelReport used;
@@ -238,9 +242,9 @@ URANK_KERNEL PrunedTopKResult AttrQuantileRankTopKPrune(
   }
   if (report != nullptr) {
     KernelReport used;
-    for (const internal::AlignedBuf& buf : pmf_scratch) {
+    for (const WorkerScratch& w : scratch) {
       used.arena_bytes +=
-          static_cast<std::uint64_t>(buf.capacity()) * sizeof(double);
+          static_cast<std::uint64_t>(w.pmf.capacity()) * sizeof(double);
     }
     report->Merge(used);
   }

@@ -81,7 +81,8 @@ URANK_KERNEL std::vector<std::vector<double>> AttrRankDistributions(
     TiePolicy ties, const ParallelismOptions& par, KernelReport* report) {
   const int n = rel.size();
   std::vector<std::vector<double>> dists(static_cast<size_t>(n));
-  const int workers = PlannedWorkers(par, n);
+  const int workers =
+      PlannedWorkers(par, n, static_cast<long long>(n) * n);
   std::vector<internal::KernelArena> arenas(static_cast<size_t>(workers));
   // One chunk per tuple: per-tuple DP cost dwarfs the chunk-claim atomic,
   // and output rows are disjoint, so any claim order — and any placement —
@@ -102,15 +103,6 @@ URANK_KERNEL std::vector<std::vector<double>> AttrRankDistributions(
     report->Merge(local);
   }
   return dists;
-}
-
-std::vector<std::vector<double>> AttrRankDistributionsParallel(
-    const AttrRelation& rel, TiePolicy ties, int threads) {
-  ParallelismOptions par;
-  par.threads = threads;
-  par.min_parallel_items = 0;  // this entry point always parallelizes
-  return AttrRankDistributions(rel, BuildSortedPdfs(rel), ties, par,
-                               nullptr);
 }
 
 }  // namespace urank

@@ -57,20 +57,13 @@ std::vector<std::vector<double>> AttrRankDistributions(
     const AttrRelation& rel, TiePolicy ties = TiePolicy::kBreakByIndex);
 
 // Parallel form over prebuilt pdfs: per-tuple DPs are distributed over
-// PlannedWorkers(par, N) worker slots (min_parallel_items counts tuples).
-// `report`, when non-null, is Merge()d with the threads/arena-bytes used.
-// Bit-identical to the serial form for any `par`.
+// PlannedWorkers(par, N, N²) worker slots (the gate counts the N² DP
+// cells of the whole matrix, so par.min_parallel_cells is compared with
+// N²). `report`, when non-null, is Merge()d with the threads/arena-bytes
+// used. Bit-identical to the serial form for any `par`.
 std::vector<std::vector<double>> AttrRankDistributions(
     const AttrRelation& rel, const std::vector<internal::SortedPdf>& pdfs,
     TiePolicy ties, const ParallelismOptions& par, KernelReport* report);
-
-// Multi-threaded variant: the per-tuple DPs are independent, so they are
-// distributed over `threads` worker threads. threads <= 0 selects
-// std::thread::hardware_concurrency(). Bit-identical to the serial
-// version.
-std::vector<std::vector<double>> AttrRankDistributionsParallel(
-    const AttrRelation& rel, TiePolicy ties = TiePolicy::kBreakByIndex,
-    int threads = 0);
 
 }  // namespace urank
 

@@ -34,6 +34,12 @@ KernelReport CollectReport(const ForRunInfo& info,
   return report;
 }
 
+// The parallel gate's work estimate for one sweep: n tuples, each
+// touching a Poisson binomial over at most m + 1 rule counts.
+long long TupleSweepCells(const TupleRelation& rel) {
+  return static_cast<long long>(rel.size()) * (rel.num_rules() + 1LL);
+}
+
 }  // namespace
 
 TupleSweepEntryTable BuildTupleSweepEntryTable(
@@ -106,7 +112,7 @@ URANK_KERNEL void ForEachTupleRankDistribution(
                                                           ties);
   const int chunks = static_cast<int>(starts.size()) - 1;
   const internal::AbsentContext absent(rel);
-  const int workers = PlannedWorkers(par, n);
+  const int workers = PlannedWorkers(par, chunks, TupleSweepCells(rel));
   std::vector<internal::KernelArena> arenas(static_cast<size_t>(workers));
 
   const ForRunInfo used = ParallelForPlaced(
@@ -187,13 +193,12 @@ URANK_KERNEL void ForEachTuplePositionalDistribution(
     TiePolicy ties, const ParallelismOptions& par, KernelReport* report,
     const std::function<void(int, int, std::span<const double>)>& fn,
     const TupleSweepEntryTable* entries) {
-  const int n = rel.size();
   const std::vector<size_t> starts =
       entries != nullptr ? entries->starts
                          : internal::PlanTupleChunkStarts(rel, rank_order,
                                                           ties);
   const int chunks = static_cast<int>(starts.size()) - 1;
-  const int workers = PlannedWorkers(par, n);
+  const int workers = PlannedWorkers(par, chunks, TupleSweepCells(rel));
   std::vector<internal::KernelArena> arenas(static_cast<size_t>(workers));
 
   const ForRunInfo used = ParallelForPlaced(

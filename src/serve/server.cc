@@ -1,5 +1,9 @@
 #include "serve/server.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -23,6 +27,18 @@ std::uint64_t MonotonicNs() {
 }
 
 double NsToMs(std::uint64_t ns) { return static_cast<double>(ns) * 1e-6; }
+
+// Hands the free pages of every malloc arena back to the kernel. A publish
+// drops the previous epoch's snapshot, whose arrays (prepared state and
+// memoized statistics, up to N² doubles) sit in the brk heap once glibc's
+// dynamic mmap threshold has risen past them at load time; without a trim
+// the heap fragments and the resident set creeps up with every epoch
+// (docs/SERVING.md). A no-op off glibc.
+void ReturnFreedHeap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 
 // Serve-layer metrics (catalogue in docs/OBSERVABILITY.md; the _us / _count
 // suffixes follow the repo-wide metric-name contract — docs/SERVING.md
@@ -284,7 +300,11 @@ void Server::Execute(Job&& job) {
       break;
   }
   URANK_TRACE_SPAN("serve.respond");
+  const bool mutate = job.request.type == WireRequest::Type::kMutate;
   job.promise.set_value(std::move(response));
+  // After the acknowledgement is handed to the connection, so the trim
+  // never delays it.
+  if (mutate) ReturnFreedHeap();
 }
 
 std::string Server::ExecuteQuery(const WireRequest& request,

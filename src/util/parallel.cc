@@ -215,8 +215,9 @@ ParallelismOptions EffectiveParallelism(const ParallelismOptions& par,
   return out;
 }
 
-int PlannedWorkers(const ParallelismOptions& par, long long items) {
-  if (items < par.min_parallel_items) return 1;
+int PlannedWorkers(const ParallelismOptions& par, long long items,
+                   long long cells) {
+  if (cells < par.min_parallel_cells) return 1;
   const long long resolved = ResolveThreads(par.threads);
   return static_cast<int>(std::max(1LL, std::min(resolved, items)));
 }

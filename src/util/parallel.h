@@ -74,9 +74,12 @@ struct ParallelismOptions {
   // (the process affinity mask, not hardware_concurrency — containers
   // often grant fewer cpus than the machine has).
   int threads = 1;
-  // Kernels over fewer work items than this stay serial: the pool handoff
-  // would cost more than it saves. Never affects the chunk grid.
-  long long min_parallel_items = 4096;
+  // Kernels whose dynamic-program cell estimate (docs/API.md) is below
+  // this stay serial: the pool handoff would cost more than it saves.
+  // Gating by work rather than item count lets an attribute-level rank
+  // matrix (N² cells for N tuples) use every core at N = 1000. Never
+  // affects the chunk grid.
+  long long min_parallel_cells = 1LL << 18;
   // Chunk-to-node placement. Never affects results.
   PlacementPolicy placement = PlacementPolicy::kFlat;
 };
@@ -173,11 +176,13 @@ int ResolveThreads(int requested);
 ParallelismOptions EffectiveParallelism(const ParallelismOptions& par,
                                         bool* clamped = nullptr);
 
-// Worker slots a kernel processing `items` work items should use under
-// `par`: 1 when items < min_parallel_items, otherwise
+// Worker slots a kernel over `items` chunks (or independent work items)
+// and an estimated `cells` dynamic-program cells should use under `par`:
+// 1 when cells < min_parallel_cells, otherwise
 // min(ResolveThreads(par.threads), items). Purely an execution decision —
 // the chunk grid must not depend on it.
-int PlannedWorkers(const ParallelismOptions& par, long long items);
+int PlannedWorkers(const ParallelismOptions& par, long long items,
+                   long long cells);
 
 // Deterministic chunk count for an n-item kernel: a pure function of n
 // (roughly one chunk per `grain` items, capped) so the chunk grid — and

@@ -143,7 +143,7 @@ QueryRequest Req(RankingSemantics semantics, int k, int threads,
   request.options.phi = 0.25;
   request.options.threshold = 0.3;
   request.parallelism.threads = threads;
-  request.parallelism.min_parallel_items = 1;
+  request.parallelism.min_parallel_cells = 1;
   request.parallelism.placement = placement;
   return request;
 }

@@ -1,6 +1,6 @@
 // Bit-identity of the parallel DP kernels: every parallel-capable entry
 // point must return *exactly* the same bytes for any ParallelismOptions —
-// threads 1, 2, 8 (oversubscribed or not), any min_parallel_items — and
+// threads 1, 2, 8 (oversubscribed or not), any min_parallel_cells — and
 // must match a one-thread serial sweep of the kernel-level reference
 // forms. The chunk grid is a pure function of the
 // relation, per-chunk subproblems are self-contained, and reductions fold
@@ -39,7 +39,7 @@ namespace {
 ParallelismOptions Par(int threads) {
   ParallelismOptions par;
   par.threads = threads;
-  par.min_parallel_items = 1;  // parallelize even the test-sized inputs
+  par.min_parallel_cells = 1;  // parallelize even the test-sized inputs
   return par;
 }
 

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "gen/tuple_gen.h"
 #include "gtest/gtest.h"
 #include "model/possible_worlds.h"
+#include "util/parallel.h"
 
 namespace urank {
 namespace {
@@ -268,7 +270,7 @@ TEST(QueryEngineStats, ReportsCacheReuseOnRepeatedStatistics) {
 }
 
 TEST(QueryEngineStats, TinyRelationReportsOneThreadEvenWhenParallelismAsked) {
-  // min_parallel_items suppresses the pool for tiny inputs, and
+  // min_parallel_cells suppresses the pool for tiny inputs, and
   // threads_used reports threads that actually participated — not the
   // requested ParallelismOptions — so a tiny N must report exactly 1.
   const QueryEngine engine(MakeTuple(40, 23));
@@ -350,7 +352,7 @@ TEST(QueryRequestSurface, PerRequestParallelismReplacesEngineSideChannel) {
   serial.options.semantics = RankingSemantics::kExpectedRank;
   serial.options.k = 25;
   serial.parallelism.threads = 1;
-  serial.parallelism.min_parallel_items = 1;
+  serial.parallelism.min_parallel_cells = 1;
 
   QueryRequest parallel = serial;
   parallel.parallelism.threads = 4;
@@ -395,6 +397,70 @@ TEST(QueryRequestSurface, ValidationErrorsSurfaceThroughRequestRun) {
   request.options.phi = 1.5;
   EXPECT_EQ(engine.Run(request).status.code, QueryStatusCode::kInvalidPhi);
 }
+
+// --- Attribute-level kernels on every core --------------------------------
+
+// The attribute rank-distribution DP costs O(s N^2) per tuple, so the
+// default cell gate must fan N = 1000 (10^6 cells) out over the pool.
+class QueryEngineParallelAttr
+    : public ::testing::TestWithParam<RankingSemantics> {
+ protected:
+  static const AttrRelation& Relation() {
+    static const AttrRelation rel = [] {
+      AttrGenConfig config;
+      config.num_tuples = 1000;
+      config.pdf_size = 5;
+      config.seed = 71;
+      return GenerateAttrRelation(config);
+    }();
+    return rel;
+  }
+
+  // A fresh engine per run, so every run computes its statistic cold.
+  static QueryResult RunCold(int threads) {
+    const QueryEngine engine(Relation());
+    QueryRequest q;
+    q.options.semantics = GetParam();
+    q.options.k = 10;
+    q.options.phi = 0.9;
+    q.options.threshold = 0.1;
+    q.prune = true;
+    q.parallelism.threads = threads;
+    return engine.Run(q);
+  }
+};
+
+TEST_P(QueryEngineParallelAttr, DefaultGateUsesCoresAndMatchesSerial) {
+  const QueryResult serial = RunCold(1);
+  const QueryResult parallel = RunCold(4);
+  ASSERT_TRUE(serial.status.ok());
+  ASSERT_TRUE(parallel.status.ok());
+  EXPECT_EQ(serial.answer.ids, parallel.answer.ids);
+  EXPECT_EQ(serial.answer.statistics, parallel.answer.statistics);
+  EXPECT_EQ(serial.stats.dp_cells, parallel.stats.dp_cells);
+  EXPECT_EQ(serial.stats.tuples_scanned, parallel.stats.tuples_scanned);
+  EXPECT_EQ(serial.stats.prune_stop_position,
+            parallel.stats.prune_stop_position);
+  EXPECT_EQ(serial.stats.threads_used, 1);
+  EXPECT_LE(parallel.stats.threads_used, 4);
+  if (ResolveThreads(0) < 2) {
+    GTEST_SKIP() << "one allowed core: the pool cannot show a second worker";
+  }
+  EXPECT_GT(parallel.stats.threads_used, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AttrN1000, QueryEngineParallelAttr,
+    ::testing::Values(RankingSemantics::kMedianRank,
+                      RankingSemantics::kQuantileRank,
+                      RankingSemantics::kUKRanks, RankingSemantics::kPTk),
+    [](const ::testing::TestParamInfo<RankingSemantics>& info) {
+      std::string name = ToString(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace urank

@@ -60,6 +60,17 @@ TEST(AttrRankDistributionTest, SingleTuple) {
   ExpectNearVectors(AttrRankDistribution(rel, 0), {1.0}, 1e-12);
 }
 
+// The parallel form with the cell gate opened, so even these small
+// relations fan out over the pool.
+std::vector<std::vector<double>> RunParallel(const AttrRelation& rel,
+                                             TiePolicy ties, int threads,
+                                             KernelReport* report) {
+  ParallelismOptions par;
+  par.threads = threads;
+  par.min_parallel_cells = 0;
+  return AttrRankDistributions(rel, BuildSortedPdfs(rel), ties, par, report);
+}
+
 TEST(AttrRankDistributionParallelTest, MatchesSerialBitForBit) {
   Rng rng(7);
   for (int n : {1, 2, 17, 40}) {
@@ -68,8 +79,9 @@ TEST(AttrRankDistributionParallelTest, MatchesSerialBitForBit) {
          {TiePolicy::kStrictGreater, TiePolicy::kBreakByIndex}) {
       const auto serial = AttrRankDistributions(rel, ties);
       for (int threads : {1, 2, 4, 0}) {
-        const auto parallel =
-            AttrRankDistributionsParallel(rel, ties, threads);
+        KernelReport report;
+        const auto parallel = RunParallel(rel, ties, threads, &report);
+        EXPECT_LE(report.threads_used, ResolveThreads(threads));
         ASSERT_EQ(parallel.size(), serial.size());
         for (size_t i = 0; i < serial.size(); ++i) {
           EXPECT_EQ(parallel[i], serial[i])
@@ -83,9 +95,12 @@ TEST(AttrRankDistributionParallelTest, MatchesSerialBitForBit) {
 TEST(AttrRankDistributionParallelTest, MoreThreadsThanTuples) {
   Rng rng(8);
   AttrRelation rel = RandomSmallAttr(rng, 3, 2);
-  const auto parallel = AttrRankDistributionsParallel(
-      rel, TiePolicy::kBreakByIndex, 16);
+  KernelReport report;
+  const auto parallel =
+      RunParallel(rel, TiePolicy::kBreakByIndex, 16, &report);
   EXPECT_EQ(parallel, AttrRankDistributions(rel));
+  // One chunk per tuple caps the workers at N.
+  EXPECT_LE(report.threads_used, 3);
 }
 
 TEST(AttrRankDistributionDeathTest, RejectsBadIndex) {

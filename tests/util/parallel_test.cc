@@ -37,28 +37,47 @@ TEST(ResolveThreadsTest, NonPositiveMeansHardwareAndAtLeastOne) {
   EXPECT_EQ(ResolveThreads(0), ResolveThreads(-1));
 }
 
+// PlannedWorkers(par, items, cells): `cells` is what the gate compares,
+// `items` (chunks or independent work items) caps the worker count.
 TEST(PlannedWorkersTest, SmallInputsStaySerial) {
   ParallelismOptions par;
   par.threads = 8;
-  par.min_parallel_items = 4096;
-  EXPECT_EQ(PlannedWorkers(par, 0), 1);
-  EXPECT_EQ(PlannedWorkers(par, 4095), 1);
+  par.min_parallel_cells = 4096;
+  EXPECT_EQ(PlannedWorkers(par, 0, 0), 1);
+  EXPECT_EQ(PlannedWorkers(par, 1000, 4095), 1);
+  // Many items do not open the gate on their own.
+  EXPECT_EQ(PlannedWorkers(par, 1 << 20, 4095), 1);
 }
 
 TEST(PlannedWorkersTest, LargeInputsUseRequestedThreads) {
   ParallelismOptions par;
   par.threads = 8;
-  par.min_parallel_items = 4096;
-  EXPECT_EQ(PlannedWorkers(par, 4096), 8);
-  EXPECT_EQ(PlannedWorkers(par, 1 << 20), 8);
+  par.min_parallel_cells = 4096;
+  // At the gate: parallel.
+  EXPECT_EQ(PlannedWorkers(par, 16, 4096), 8);
+  EXPECT_EQ(PlannedWorkers(par, 16, 1LL << 40), 8);
 }
 
 TEST(PlannedWorkersTest, NeverMoreWorkersThanItems) {
   ParallelismOptions par;
   par.threads = 8;
-  par.min_parallel_items = 1;
-  EXPECT_EQ(PlannedWorkers(par, 3), 3);
-  EXPECT_EQ(PlannedWorkers(par, 1), 1);
+  par.min_parallel_cells = 1;
+  EXPECT_EQ(PlannedWorkers(par, 3, 1LL << 30), 3);
+  EXPECT_EQ(PlannedWorkers(par, 1, 1LL << 30), 1);
+  EXPECT_EQ(PlannedWorkers(par, 0, 1LL << 30), 1);
+}
+
+TEST(PlannedWorkersTest, DefaultGateParallelizesByWorkNotTupleCount) {
+  ParallelismOptions par;
+  par.threads = 4;
+  // Attribute rank matrix, N = 1000: 10^6 cells, though only 1000 tuples.
+  EXPECT_EQ(PlannedWorkers(par, 1000, 1000LL * 1000), 4);
+  // Tuple sweep, N = 4096 with 64 wide rules: N (m + 1) cells.
+  EXPECT_EQ(PlannedWorkers(par, 16, 4096LL * 65), 4);
+  // Tuple sweep, N = 40 independent tuples: far below the gate.
+  EXPECT_EQ(PlannedWorkers(par, 1, 40LL * 41), 1);
+  // Sharded expected ranks are O(N): N = 20000 stays serial.
+  EXPECT_EQ(PlannedWorkers(par, 16, 20000), 1);
 }
 
 TEST(DeterministicChunkCountTest, PureFunctionOfSize) {
